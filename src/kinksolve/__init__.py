@@ -49,6 +49,7 @@ from .operators import (
     apply_t0,
     apply_t1,
     apply_tq,
+    build_operator,
     psi,
     signed_cube_root,
     t0_psi_analytic,
@@ -75,7 +76,8 @@ __all__ = [
     "KernelFamily", "KernelNorms", "QuadratureAccuracyError", "eval_k0",
     "eval_k1", "eval_kq", "eval_kq_derivative", "fourier_symbol",
     "kernel_norms", "tail_mass",
-    "OperatorConfig", "apply_pq", "apply_t0", "apply_t1", "apply_tq", "psi",
+    "OperatorConfig", "apply_pq", "apply_t0", "apply_t1", "apply_tq",
+    "build_operator", "psi",
     "signed_cube_root", "t0_psi_analytic",
     "ScanConfig", "ScanReport", "ScanSample", "scan",
     "DecayDiagnostic", "SolveConfig", "SolveReport", "decay_diagnostic",

@@ -127,13 +127,6 @@ def fourier_symbol(k, family: KernelFamily):
     return float(out) if out.ndim == 0 else out
 
 
-def k0_cumulative(t):
-    """integral_{-inf}^{t} K0(u) du = erfc(-t/2) / 2."""
-    t = np.asarray(t, dtype=float)
-    out = 0.5 * erfc(-0.5 * t)
-    return float(out) if out.ndim == 0 else out
-
-
 def k1_cumulative(t):
     """integral_{-inf}^{t} K1(u) du = (t/2) K0(t).
 

@@ -1,14 +1,17 @@
 """Damped fixed-point iteration for the cube-root map, with diagnostics.
 
-Fixed points of the map solve the integral equation; the iteration mixes
-each iterate with its image (weight omega) and re-projects onto odd
-profiles every step, since the invariant-cone argument lives entirely in
-odd functions and floating-point drift would otherwise break the symmetry.
+Fixed points of the map solve the integral equation.  The invariant-cone
+argument lives entirely in odd functions, so the iteration does too: the
+start is projected onto odd profiles once, and from then on the iterate is
+the array u of its values on the positive nodes plus its right tail tau,
+pushed through the half-line operator built once per solve.  Oddness is
+exact by construction, and a Profile is built only at entry and exit.
 
 Convergence is declared on the map residual sup |image - iterate|, never on
 the damped step size, so damping cannot mask stagnation.  Non-convergence
 is a reportable outcome, not an exception: the parameter scan relies on
-failed runs to locate the critical deformation.
+failed runs to locate the critical deformation.  A non-finite iterate is an
+exception, raised at the step that produced it.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from .grid import (
     profile_from_json,
     profile_to_json_dict,
     project_odd,
-    sup_distance,
 )
 from .kernels import KernelFamily
-from .operators import OperatorConfig, apply_pq, psi
+from .operators import OperatorConfig, build_operator, psi
 
 #: Half-width of the linear ramp used by the piecewise-sign initial guess.
 #: One grid cell is far too steep for the cone's modulus constant (a ramp of
@@ -53,7 +55,6 @@ class SolveConfig:
     max_iter: int = 10000
     init: str = "erf"
     init_path: str | None = None
-    enforce_odd: bool = True
 
     def __post_init__(self) -> None:
         if not self.q >= 0.0:
@@ -70,7 +71,12 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
-    """Iteration trace and the state of the final iterate."""
+    """Iteration trace and the state of the final iterate.
+
+    stop_reason is "converged" or "budget" (max_iter spent); events lists
+    what fired during the run, each as a dict with its iteration number,
+    e.g. {"iteration": 12, "event": "damping_fallback", "omega": 0.5}.
+    """
 
     converged: bool
     iterations: int
@@ -80,6 +86,8 @@ class SolveReport:
     decay_estimate: float | None
     solution: Profile
     boundary_defect: float
+    stop_reason: str
+    events: list[dict]
 
     def to_json_dict(self, inline_profile: bool = True,
                      profile_path: str | None = None) -> dict:
@@ -91,6 +99,8 @@ class SolveReport:
             "cone_member_final": self.cone_member_final,
             "decay_estimate": self.decay_estimate,
             "boundary_defect": self.boundary_defect,
+            "stop_reason": self.stop_reason,
+            "events": self.events,
         }
         if inline_profile:
             d["solution"] = profile_to_json_dict(self.solution)
@@ -131,10 +141,10 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
                 f"profile grid (L={p.grid.half_width}, h={p.grid.spacing}) "
                 f"does not match the requested grid")
     elif kind in ("erf", "psi_scaled"):
-        p = _odd_profile(lambda xp: erf(xp), grid)
+        p = _odd_profile(grid, erf(grid.x[grid.center_index + 1:]), 1.0)
     elif kind == "sign":
-        p = _odd_profile(
-            lambda xp: np.minimum(xp / SIGN_RAMP_HALF_WIDTH, 1.0), grid)
+        xp = grid.x[grid.center_index + 1:]
+        p = _odd_profile(grid, np.minimum(xp / SIGN_RAMP_HALF_WIDTH, 1.0), 1.0)
     else:
         raise ValueError(f"unknown initial guess {kind!r}")
 
@@ -145,25 +155,40 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
     return p
 
 
-def _odd_profile(f_pos, grid: GridSpec) -> Profile:
-    """Profile from samples on x > 0, mirrored to exact oddness, tails +-1."""
-    pos = f_pos(grid.x[grid.center_index + 1:])
-    values = np.concatenate([-pos[::-1], [0.0], pos])
-    return Profile(grid=grid, values=values, tail_right=1.0, tail_left=-1.0)
+def _odd_profile(grid: GridSpec, u: np.ndarray, tau: float) -> Profile:
+    """The odd profile with values u on the positive nodes and tails +-tau."""
+    return Profile(grid=grid, values=np.concatenate([-u[::-1], [0.0], u]),
+                   tail_right=tau, tail_left=-tau)
+
+
+def _odd_half(p: Profile) -> tuple[np.ndarray, float]:
+    """Positive-node values and right tail of the odd projection of p."""
+    odd = project_odd(p)
+    return odd.values[p.grid.center_index + 1:], odd.tail_right
+
+
+def _step(op, u: np.ndarray, tau: float) -> tuple[np.ndarray, float, float]:
+    """Image of the odd iterate (u, tau) under the cube-root map, and the
+    residual sup |image - iterate|; raises on a non-finite result."""
+    image = np.cbrt(op(u, tau))
+    image_tau = float(np.cbrt(tau))
+    residual = max(float(np.max(np.abs(image - u))), abs(image_tau - tau))
+    if not math.isfinite(residual):
+        raise ValueError("profile values must be finite")
+    return image, image_tau, residual
+
+
+def _mix(a, b, omega: float):
+    return (1.0 - omega) * a + omega * b
 
 
 def iterate_once(p: Profile, cfg_solve: SolveConfig, family: KernelFamily,
                  cfg_op: OperatorConfig = OperatorConfig()) -> Profile:
-    """One damped step: mix the iterate with its image, then project odd."""
-    image = apply_pq(p, family, cfg_op)
+    """One damped step on the odd projection of p: mix it with its image."""
+    u, tau = _odd_half(p)
+    image, image_tau, _ = _step(build_operator(p.grid, family, cfg_op), u, tau)
     omega = cfg_solve.damping
-    mixed = Profile(
-        grid=p.grid,
-        values=(1.0 - omega) * p.values + omega * image.values,
-        tail_right=(1.0 - omega) * p.tail_right + omega * image.tail_right,
-        tail_left=(1.0 - omega) * p.tail_left + omega * image.tail_left,
-    )
-    return project_odd(mixed) if cfg_solve.enforce_odd else mixed
+    return _odd_profile(p.grid, _mix(u, image, omega), _mix(tau, image_tau, omega))
 
 
 def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
@@ -172,23 +197,28 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
           assert_cone_each_iteration: bool = False) -> SolveReport:
     """Iterate the map until the residual meets tol or max_iter is spent.
 
-    The default undamped iteration falls back to half damping when the
-    residual has grown five steps in a row.  `initial` overrides the
-    configured guess (used for warm starts); `assert_cone_each_iteration`
-    raises if any iterate of a run started in the cone escapes it.
+    The start (`initial`, used for warm starts, or the configured guess) is
+    projected onto odd profiles once; projection raises ValueError when its
+    tails are not opposite.  The default undamped iteration falls back to
+    half damping when the residual has grown five steps in a row, and
+    records that as an event.  `assert_cone_each_iteration` raises if any
+    iterate of a run started in the cone escapes it.
     """
     family = KernelFamily(cfg_solve.q)
-    p = initial if initial is not None else initial_guess(
+    start = initial if initial is not None else initial_guess(
         cfg_solve.init, grid, ledger, cfg_solve.init_path)
+    grid = start.grid
+    u, tau = _odd_half(start)
+    op = build_operator(grid, family, cfg_op)
 
     omega = cfg_solve.damping
     trace: list[float] = []
+    events: list[dict] = []
     residual = math.inf
     converged = False
     growth_streak = 0
     for _ in range(cfg_solve.max_iter):
-        image = apply_pq(p, family, cfg_op)
-        residual = sup_distance(image, p)
+        image, image_tau, residual = _step(op, u, tau)
         trace.append(residual)
         if residual <= cfg_solve.tol:
             converged = True
@@ -198,23 +228,19 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
             if growth_streak >= 5 and omega > 0.5:
                 omega = 0.5
                 growth_streak = 0
+                events.append({"iteration": len(trace), "event": "damping_fallback",
+                               "omega": omega})
         else:
             growth_streak = 0
-        mixed = Profile(
-            grid=p.grid,
-            values=(1.0 - omega) * p.values + omega * image.values,
-            tail_right=(1.0 - omega) * p.tail_right + omega * image.tail_right,
-            tail_left=(1.0 - omega) * p.tail_left + omega * image.tail_left,
-        )
-        p = project_odd(mixed) if cfg_solve.enforce_odd else mixed
-        if assert_cone_each_iteration and not check_cone(p, ledger).member:
+        u, tau = _mix(u, image, omega), _mix(tau, image_tau, omega)
+        if assert_cone_each_iteration and not check_cone(
+                _odd_profile(grid, u, tau), ledger).member:
             raise AssertionError(
                 f"iterate {len(trace)} left the cone at q = {cfg_solve.q}")
 
-    boundary_defect = max(abs(p.values[-1] - p.tail_right),
-                          abs(p.values[0] - p.tail_left))
+    p = _odd_profile(grid, u, tau)
     decay = None
-    if converged and p.tail_right == 1.0:
+    if converged and tau == 1.0:
         decay = decay_diagnostic(p, family, ledger, l0=2.0).ratio
     return SolveReport(
         converged=converged,
@@ -224,7 +250,9 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
         cone_member_final=check_cone(p, ledger).member,
         decay_estimate=decay,
         solution=p,
-        boundary_defect=boundary_defect,
+        boundary_defect=abs(u[-1] - tau),
+        stop_reason="converged" if converged else "budget",
+        events=events,
     )
 
 

@@ -14,6 +14,7 @@ from kinksolve.operators import (
     apply_t0,
     apply_t1,
     apply_tq,
+    build_operator,
     psi,
     signed_cube_root,
     t0_psi_analytic,
@@ -207,6 +208,17 @@ def test_pq_preserves_oddness_exactly(default_grid):
         out = apply_pq(p, KernelFamily(0.4), OperatorConfig(method))
         assert odd_defect(out) <= 1e-13
         assert out.values[default_grid.center_index] == 0.0
+
+
+@pytest.mark.parametrize("method", ["quadrature", "spectral"])
+def test_half_line_operator_is_positive_half_of_tq(default_grid, method):
+    c = default_grid.center_index
+    p = sample(lambda x: np.cbrt(np.tanh(x)), default_grid, 1.0, -1.0)
+    for q in (0.0, 0.5):
+        cfg = OperatorConfig(method)
+        op = build_operator(default_grid, KernelFamily(q), cfg)
+        half = op(p.values[c + 1:], p.tail_right)
+        assert np.array_equal(half, apply_tq(p, KernelFamily(q), cfg).values[c + 1:])
 
 
 def test_pq_tail_mapping(default_grid):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kinksolve.solver as solver_module
 from kinksolve.cone import check_cone
 from kinksolve.grid import (
     Profile,
@@ -8,6 +9,7 @@ from kinksolve.grid import (
     odd_defect,
     profile_to_csv,
     profile_to_json,
+    project_odd,
     sup_distance,
 )
 from kinksolve.kernels import KernelFamily
@@ -114,6 +116,8 @@ def test_solve_q0_converges(kink_q0, default_grid):
     assert rep.final_residual <= 1e-12
     assert rep.iterations == 22  # regression value, default grid and config
     assert len(rep.residual_trace) == rep.iterations
+    assert rep.stop_reason == "converged"
+    assert rep.events == []
     assert odd_defect(rep.solution) <= 1e-13
     assert abs(rep.solution.values[-1] - 1.0) <= 1e-6
     assert rep.boundary_defect <= 1e-6
@@ -157,6 +161,7 @@ def test_solve_trace_tail_roughly_decreasing(kink_q0):
 def test_solve_nonconvergence_is_reported_not_raised(default_grid, ledger):
     rep = solve(SolveConfig(q=0.0, max_iter=3), default_grid, ledger)
     assert not rep.converged
+    assert rep.stop_reason == "budget"
     assert rep.iterations == 3
     assert len(rep.residual_trace) == 3
 
@@ -164,6 +169,8 @@ def test_solve_nonconvergence_is_reported_not_raised(default_grid, ledger):
 def test_solve_report_json_shapes(kink_q0, default_grid):
     inline = kink_q0.to_json_dict(inline_profile=True)
     assert inline["converged"] is True
+    assert inline["stop_reason"] == "converged"
+    assert inline["events"] == []
     assert len(inline["solution"]["values"]) == default_grid.n_points
     sidecar = kink_q0.to_json_dict(inline_profile=False, profile_path="sol.csv")
     assert "solution" not in sidecar
@@ -209,3 +216,77 @@ def test_damping_fallback_on_oscillation(default_grid, ledger):
     rep = solve(SolveConfig(q=5.0, max_iter=400), default_grid, ledger)
     assert rep.iterations <= 400
     assert np.all(np.isfinite(rep.solution.values))
+    fallbacks = [e for e in rep.events if e["event"] == "damping_fallback"]
+    assert len(fallbacks) == 1
+    assert 6 <= fallbacks[0]["iteration"] <= rep.iterations
+    assert fallbacks[0]["omega"] == 0.5
+    assert rep.to_json_dict(inline_profile=False)["events"] == rep.events
+
+
+@pytest.mark.parametrize("method", ["quadrature", "spectral"])
+@pytest.mark.parametrize("amplitude", [1e308, 1e307])
+def test_solve_raises_on_non_finite_iterate(default_grid, ledger, method, amplitude,
+                                           monkeypatch):
+    # 1e308 overflows already in the odd projection of the start, 1e307 in
+    # the first operator application; either way the solve stops there
+    applications = []
+    build = solver_module.build_operator
+
+    def counting_build(*args):
+        op = build(*args)
+
+        def counted(u, tau):
+            applications.append(tau)
+            return op(u, tau)
+
+        return counted
+
+    monkeypatch.setattr(solver_module, "build_operator", counting_build)
+    values = np.sign(default_grid.x) * amplitude
+    start = Profile(grid=default_grid, values=values,
+                    tail_right=amplitude, tail_left=-amplitude)
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="profile values must be finite"):
+        solve(SolveConfig(q=0.1), default_grid, ledger, OperatorConfig(method),
+              initial=start)
+    assert len(applications) <= 1
+
+
+def _full_line_picard(cfg, grid, ledger, cfg_op):
+    """Reference loop: full-line map, odd projection and damping fallback."""
+    family = KernelFamily(cfg.q)
+    p = initial_guess(cfg.init, grid, ledger)
+    omega, trace, growth_streak = cfg.damping, [], 0
+    for _ in range(cfg.max_iter):
+        image = apply_pq(p, family, cfg_op)
+        trace.append(sup_distance(image, p))
+        if trace[-1] <= cfg.tol:
+            break
+        if len(trace) > 1 and trace[-1] > trace[-2]:
+            growth_streak += 1
+            if growth_streak >= 5 and omega > 0.5:
+                omega, growth_streak = 0.5, 0
+        else:
+            growth_streak = 0
+        p = project_odd(Profile(
+            grid=grid, values=(1.0 - omega) * p.values + omega * image.values,
+            tail_right=(1.0 - omega) * p.tail_right + omega * image.tail_right,
+            tail_left=(1.0 - omega) * p.tail_left + omega * image.tail_left))
+    return p, len(trace)
+
+
+@pytest.mark.parametrize("method", ["quadrature", "spectral"])
+@pytest.mark.parametrize("q_of", [lambda q0: 0.0, lambda q0: q0 / 2.0, lambda q0: 2.0],
+                         ids=["0", "q0/2", "2.0"])
+def test_solve_matches_full_line_picard(default_grid, ledger, method, q_of):
+    cfg = SolveConfig(q=q_of(ledger.q0))
+    cfg_op = OperatorConfig(method)
+    expected, iterations = _full_line_picard(cfg, default_grid, ledger, cfg_op)
+    rep = solve(cfg, default_grid, ledger, cfg_op)
+    assert rep.converged
+    assert rep.iterations == iterations
+    assert sup_distance(rep.solution, expected) <= 1e-13
+    v = rep.solution.values
+    assert np.array_equal(v, -v[::-1])
+    assert v[default_grid.center_index] == 0.0
+    assert rep.solution.tail_left == -rep.solution.tail_right

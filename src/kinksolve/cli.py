@@ -123,21 +123,21 @@ def _build_parser() -> _Parser:
 def _parse_init(raw: str) -> tuple[str, str | None]:
     if raw.startswith("file:"):
         return "from_file", raw[5:]
-    alias = {"erf": "erf", "psi": "psi_scaled", "psi_scaled": "psi_scaled",
-             "sign": "sign"}
+    # psi and psi_scaled name twice the Gaussian ramp, which is erf
+    alias = {"erf": "erf", "psi": "erf", "psi_scaled": "erf", "sign": "sign"}
     if raw not in alias:
         raise _UsageError(f"unknown --init value {raw!r}")
     return alias[raw], None
 
 
-def _load_or_compute_ledger(grid, cfg_op, ledger_path):
+def _load_or_compute_ledger(grid, ledger_path):
     from .cone import ConstantsLedger, validate_ledger
 
     if ledger_path is not None:
         ledger = ConstantsLedger.from_json_dict(json.loads(Path(ledger_path).read_text()))
         validate_ledger(ledger)
         return ledger
-    return compute_constants(grid, cfg_op)
+    return compute_constants(grid)
 
 
 def _cmd_solve(args) -> int:
@@ -145,7 +145,7 @@ def _cmd_solve(args) -> int:
     init, init_path = _parse_init(args.init)
     grid = make_grid(args.L, args.h)
     cfg_op = OperatorConfig(method=args.method)
-    ledger = _load_or_compute_ledger(grid, cfg_op, args.ledger)
+    ledger = _load_or_compute_ledger(grid, args.ledger)
     cfg = SolveConfig(q=args.q, damping=args.omega, tol=args.tol,
                       max_iter=args.max_iter, init=init, init_path=init_path)
     report = solve(cfg, grid, ledger, cfg_op)
@@ -178,7 +178,7 @@ def _cmd_constants(args) -> int:
         raise _UsageError(f"--q-max must be positive, got {args.q_max}")
     grid = make_grid(20.0, 0.05)
     try:
-        ledger = compute_constants(grid, OperatorConfig(), q_range_max=args.q_max)
+        ledger = compute_constants(grid, q_range_max=args.q_max)
     except LedgerInvariantError as exc:
         print(f"ledger invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -196,7 +196,7 @@ def _cmd_verify(args) -> int:
     started = time.time()
     grid = make_grid(20.0, 0.05)
     cfg_op = OperatorConfig()
-    ledger = compute_constants(grid, cfg_op)
+    ledger = compute_constants(grid)
     checks: list[tuple[str, float, float, bool]] = []
 
     ramp = sample(psi, grid, 0.5, -0.5)
@@ -245,7 +245,7 @@ def _cmd_scan(args) -> int:
     started = time.time()
     grid = make_grid(20.0, 0.05)
     cfg_op = OperatorConfig()
-    ledger = compute_constants(grid, cfg_op)
+    ledger = compute_constants(grid)
     cfg = ScanConfig(q_min=args.q_min, q_max=args.q_max, coarse_steps=args.steps,
                      bisect_tol=args.bisect_tol,
                      per_solve=SolveConfig(max_iter=args.max_iter),

@@ -30,15 +30,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf
 
 from .grid import GridSpec, Profile, odd_defect, sup_norm
 from .kernels import (
     KernelFamily,
-    NORM_WINDOW,
+    abs_mass_above,
     eval_k1,
     golden_section_max,
+    k1_cumulative,
     kernel_norms,
 )
 from .operators import OperatorConfig, apply_pq, psi, t0_psi_analytic
@@ -169,18 +169,8 @@ def smoothed_ramp_ratio_infimum(grid: GridSpec) -> float:
     return min(float(np.min(ratio)), 1.0 / math.sqrt(5.0), 1.0)
 
 
-def _abs_mass_of(f, roots: list[float], window: float = NORM_WINDOW) -> float:
-    """2 * integral_0^window |f| for an even f, split at its positive roots."""
-    edges = [0.0, *sorted(roots), window]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, _ = quad(lambda u: abs(f(u)), lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
-        total += val
-    return 2.0 * total
-
-
-def compute_constants(grid: GridSpec, cfg: OperatorConfig = OperatorConfig(),
-                      q_range_max: float = 1.0, n_q_samples: int = 101) -> ConstantsLedger:
+def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0,
+                      n_q_samples: int = 101) -> ConstantsLedger:
     """Compute every cone constant in dependency order and validate them.
 
     Raises LedgerInvariantError when any of the mutual inequalities fails;
@@ -201,11 +191,8 @@ def compute_constants(grid: GridSpec, cfg: OperatorConfig = OperatorConfig(),
     # ramp's slope infimum on [0, 1] and level infimum on [1, inf) are paid.
     ramp_slope_inf = math.exp(-1.0) / _SQRT_PI      # attained at x = 1
     ramp_level_inf = psi(1.0)                        # attained at x = 1
-    k1_abs = _abs_mass_of(eval_k1, [math.sqrt(2.0)])
-    k1_deriv_abs = _abs_mass_of(
-        lambda u: -0.5 * u * (1.5 - 0.25 * u * u) * math.exp(-0.25 * u * u) / (2 * _SQRT_PI),
-        [math.sqrt(6.0)],
-    )
+    k1_abs = 2.0 * abs_mass_above(k1_cumulative, math.sqrt(2.0))
+    k1_deriv_abs = 2.0 * abs_mass_above(eval_k1, math.sqrt(6.0))
     slope_bound = c0 * k1_deriv_abs
     level_bound = c0 * k1_abs
     c4 = max(slope_bound / ramp_slope_inf, level_bound / ramp_level_inf)

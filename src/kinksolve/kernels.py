@@ -10,8 +10,8 @@ for a deformation parameter q >= 0.  Under the Fourier transform
 f_hat(k) = integral f(u) exp(-i k u) du the family acts as the multiplier
 (1 + q^2 k^2) exp(-k^2).
 
-Useful antiderivatives (documented here because the convolution operators
-and the tail integrals rely on them):
+Useful antiderivatives (documented here because the convolution operators,
+the tail integrals and the absolute-mass norms rely on them):
 
     integral_{-inf}^{t} K0 = erfc(-t/2) / 2
     integral_{-inf}^{t} K1 = -K0'(t) = (t/2) K0(t)
@@ -27,23 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfc
 
 _SQRT_PI = math.sqrt(math.pi)
 _INV_TWO_SQRT_PI = 1.0 / (2.0 * _SQRT_PI)
-
-#: Integration window for absolute-value kernel integrals.  K0(12) < 1e-16,
-#: so the remainder beyond the window is handled by the analytic tail terms.
-NORM_WINDOW = 12.0
-
-#: Absolute tolerance the adaptive quadrature must certify.
-NORM_ABS_TOL = 1e-12
-
-
-class QuadratureAccuracyError(RuntimeError):
-    """Adaptive quadrature failed to certify the requested tolerance."""
-
 
 @dataclass(frozen=True)
 class KernelFamily:
@@ -155,109 +142,58 @@ def kq_sign_change(family: KernelFamily) -> float | None:
     return math.sqrt(4.0 / (family.q * family.q) + 2.0)
 
 
-def _kq_derivative_root(family: KernelFamily) -> float | None:
-    """Positive root of Kq', located by bisection to 1e-14; None when q = 0.
-
-    The bracket [1, 2/q + 3] always straddles the root: the derivative is
-    negative at u = 1 and positive once the bracket factor has flipped sign.
-    """
+def kq_derivative_sign_change(family: KernelFamily) -> float | None:
+    """Positive root of Kq', i.e. sqrt(4/q^2 + 6); None when q = 0."""
     if family.q == 0.0:
         return None
-    lo, hi = 1.0, 2.0 / family.q + 3.0
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if eval_kq_derivative(mid, family) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return math.sqrt(4.0 / (family.q * family.q) + 6.0)
 
 
-def kq_derivative_sign_change(family: KernelFamily, window: float = NORM_WINDOW) -> float | None:
-    """Positive root of Kq' inside (0, window); None when q = 0 or beyond it."""
-    root = _kq_derivative_root(family)
-    if root is None or root >= float(window):
-        return None
-    return root
+def abs_mass_above(antiderivative, sign_change: float | None, t: float = 0.0,
+                   at_infinity: float = 0.0) -> float:
+    """integral_t^inf |f| for t >= 0, from an antiderivative F of f.
+
+    f may change sign on (t, inf) only at `sign_change` (None: nowhere), and
+    at_infinity is the limit of F at +inf.  Each single-signed piece then
+    contributes |F(end) - F(start)|.  For an even f the absolute mass over
+    the whole line is twice the value at t = 0.
+    """
+    F = antiderivative
+    if sign_change is None or t >= sign_change:
+        return abs(at_infinity - F(t))
+    return abs(F(sign_change) - F(t)) + abs(at_infinity - F(sign_change))
 
 
 def tail_mass(threshold: float, family: KernelFamily) -> tuple[float, float]:
     """Absolute kernel mass below -threshold and above +threshold.
 
     Returns (integral_{-inf}^{-threshold} |Kq|, integral_{threshold}^{inf} |Kq|).
-    |Kq| is even, so the two components are equal.  Beyond the sign change
-    the kernel is negative; the pieces are assembled from the closed-form
-    cumulative integrals above.
+    |Kq| is even, so the two components are equal.
     """
     t = float(threshold)
-    if t <= 0.0:
-        # |Kq| mass above t = total - mass above -t (evenness; the total is
-        # twice the closed-form mass above zero).
-        right = 2.0 * _abs_mass_above(0.0, family) - _abs_mass_above(-t, family)
+    if t > 0.0:
+        right = _kq_abs_mass_above(t, family)
     else:
-        right = _abs_mass_above(t, family)
+        # mass above t = total - mass above -t (evenness)
+        right = 2.0 * _kq_abs_mass_above(0.0, family) - _kq_abs_mass_above(-t, family)
     return right, right
 
 
-def _abs_mass_above(t: float, family: KernelFamily) -> float:
-    """integral_{t}^{inf} |Kq| for t >= 0, from closed-form cumulatives."""
-    root = kq_sign_change(family)
-    above = lambda s: 1.0 - kq_cumulative(s, family)  # noqa: E731
-    if root is None or t >= root:
-        # single-signed on [t, inf): positive for q = 0, negative past root
-        return abs(above(t))
-    return (kq_cumulative(root, family) - kq_cumulative(t, family)) - above(root)
+def _kq_abs_mass_above(t: float, family: KernelFamily) -> float:
+    """integral_t^inf |Kq| for t >= 0, through the cumulative integral of Kq."""
+    return abs_mass_above(lambda s: kq_cumulative(s, family), kq_sign_change(family),
+                          t, at_infinity=1.0)
 
 
-def kq_abs_mass(family: KernelFamily, window: float = NORM_WINDOW) -> float:
-    """integral |Kq| du by adaptive quadrature split at the kernel root."""
-    return _abs_integral(
-        lambda u: eval_kq(u, family),
-        _positive_roots([kq_sign_change(family)], window),
-        window,
-        tail=lambda w: _abs_mass_above(w, family),
-    )
+def kq_abs_mass(family: KernelFamily) -> float:
+    """integral |Kq| du over the line."""
+    return 2.0 * _kq_abs_mass_above(0.0, family)
 
 
-def kq_derivative_abs_mass(family: KernelFamily, window: float = NORM_WINDOW) -> float:
-    """integral |Kq'| du by adaptive quadrature split at the derivative root."""
-
-    def tail(w: float) -> float:
-        # For u >= max(root, w) the derivative is single-signed, so the
-        # absolute integral telescopes through values of Kq itself.
-        root = _kq_derivative_root(family)
-        kw = eval_kq(w, family)
-        if root is None or root <= w:
-            return abs(-kw)
-        return kw - 2.0 * eval_kq(root, family)
-
-    roots = _positive_roots([kq_derivative_sign_change(family, window)], window)
-    return _abs_integral(lambda u: eval_kq_derivative(u, family), roots, window, tail=tail)
-
-
-def _positive_roots(candidates, window: float) -> list[float]:
-    return sorted(r for r in candidates if r is not None and 0.0 < r < window)
-
-
-def _abs_integral(f, roots: list[float], window: float, tail) -> float:
-    """2 * integral_0^window |f| split at roots, plus the analytic tail.
-
-    The integrand is even; each piece between consecutive roots is smooth,
-    so the adaptive rule converges at full order.  Raises
-    QuadratureAccuracyError when the certified error exceeds NORM_ABS_TOL.
-    """
-    edges = [0.0, *roots, float(window)]
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, abserr = quad(lambda u: abs(f(u)), lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
-        total += val
-        err += abserr
-    if err > NORM_ABS_TOL:
-        raise QuadratureAccuracyError(
-            f"kernel norm quadrature certified only {err:.3e} > {NORM_ABS_TOL:.1e}"
-        )
-    return 2.0 * (total + tail(float(window)))
+def kq_derivative_abs_mass(family: KernelFamily) -> float:
+    """integral |Kq'| du, telescoped through values of Kq itself."""
+    return 2.0 * abs_mass_above(lambda s: eval_kq(s, family),
+                                kq_derivative_sign_change(family))
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:

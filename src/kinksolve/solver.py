@@ -65,7 +65,7 @@ class SolveConfig:
             raise ValueError("tol must be positive")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
-        if self.init not in ("erf", "psi_scaled", "sign", "from_file"):
+        if self.init not in ("erf", "sign", "from_file"):
             raise ValueError(f"unknown initial guess {self.init!r}")
 
 
@@ -124,10 +124,9 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
                   path: str | None = None) -> Profile:
     """Construct a starting profile; warns when it misses the cone.
 
-    erf        -- samples of erf(x), tails -1/+1
-    psi_scaled -- alias of erf (twice the Gaussian ramp is erf)
-    sign       -- +-1 with the step smoothed by a linear ramp at the origin
-    from_file  -- profile loaded from a CSV or JSON file
+    erf       -- samples of erf(x), tails -1/+1
+    sign      -- +-1 with the step smoothed by a linear ramp at the origin
+    from_file -- profile loaded from a CSV or JSON file
     """
     if kind == "from_file":
         if path is None:
@@ -136,11 +135,8 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
         # are the boundary values -1/+1 (JSON files carry theirs explicitly)
         p = (profile_from_json(path) if str(path).endswith(".json")
              else profile_from_csv(path, tail_right=1.0, tail_left=-1.0))
-        if p.grid != grid:
-            raise ValueError(
-                f"profile grid (L={p.grid.half_width}, h={p.grid.spacing}) "
-                f"does not match the requested grid")
-    elif kind in ("erf", "psi_scaled"):
+        _check_grid(p, grid)
+    elif kind == "erf":
         p = _odd_profile(grid, erf(grid.x[grid.center_index + 1:]), 1.0)
     elif kind == "sign":
         xp = grid.x[grid.center_index + 1:]
@@ -153,6 +149,13 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
         warnings.warn(f"initial guess {kind!r} is not a cone member: {report}",
                       stacklevel=2)
     return p
+
+
+def _check_grid(p: Profile, grid: GridSpec) -> None:
+    if p.grid != grid:
+        raise ValueError(
+            f"profile grid (L={p.grid.half_width}, h={p.grid.spacing}) does not "
+            f"match the requested grid (L={grid.half_width}, h={grid.spacing})")
 
 
 def _odd_profile(grid: GridSpec, u: np.ndarray, tau: float) -> Profile:
@@ -198,17 +201,18 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     """Iterate the map until the residual meets tol or max_iter is spent.
 
     The start (`initial`, used for warm starts, or the configured guess) is
-    projected onto odd profiles once; projection raises ValueError when its
-    tails are not opposite.  The default undamped iteration falls back to
-    half damping when the residual has grown five steps in a row, and
-    records that as an event.  `assert_cone_each_iteration` raises if any
-    iterate of a run started in the cone escapes it.
+    projected onto odd profiles once; ValueError is raised when it lives on
+    another grid than `grid` or when its tails are not opposite.  The
+    default undamped iteration falls back to half damping when the residual
+    has grown five steps in a row, and records that as an event.
+    `assert_cone_each_iteration` raises if any iterate of a run started in
+    the cone escapes it.
     """
     family = KernelFamily(cfg_solve.q)
-    start = initial if initial is not None else initial_guess(
-        cfg_solve.init, grid, ledger, cfg_solve.init_path)
-    grid = start.grid
-    u, tau = _odd_half(start)
+    if initial is None:
+        initial = initial_guess(cfg_solve.init, grid, ledger, cfg_solve.init_path)
+    _check_grid(initial, grid)
+    u, tau = _odd_half(initial)
     op = build_operator(grid, family, cfg_op)
 
     omega = cfg_solve.damping

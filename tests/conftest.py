@@ -1,6 +1,6 @@
 import pytest
 
-from kinksolve import OperatorConfig, SolveConfig, compute_constants, make_grid, solve
+from kinksolve import SolveConfig, compute_constants, make_grid, solve
 
 
 @pytest.fixture(scope="session")
@@ -10,7 +10,7 @@ def default_grid():
 
 @pytest.fixture(scope="session")
 def ledger(default_grid):
-    return compute_constants(default_grid, OperatorConfig())
+    return compute_constants(default_grid)
 
 
 @pytest.fixture(scope="session")

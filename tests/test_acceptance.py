@@ -38,7 +38,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def ledger(grid):
-    return compute_constants(grid, OperatorConfig())
+    return compute_constants(grid)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ def test_criterion_2_kernel_mass():
 
 def test_criterion_3_constants_ledger(grid):
     started = time.perf_counter()
-    fresh = compute_constants(grid, OperatorConfig())
+    fresh = compute_constants(grid)
     assert fresh.c3 ** (1 / 3) * fresh.ell * fresh.c2 ** (1 / 3) >= fresh.c2
     assert fresh.c2 * 0.5 < 1.0
     assert fresh.c4 * fresh.q0**2 < fresh.c3 * fresh.c2
@@ -188,7 +188,7 @@ def test_criterion_7_discretization_consistency(grid, solve_q0):
     assert worst <= 1e-8
 
     fine_grid = make_grid(20.0, 0.025)
-    fine_ledger = compute_constants(fine_grid, OperatorConfig())
+    fine_ledger = compute_constants(fine_grid)
     fine = solve(SolveConfig(q=0.0), fine_grid, fine_ledger)
     assert fine.converged
     refinement = float(np.max(np.abs(fine.solution.values[::2]

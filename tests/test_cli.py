@@ -79,6 +79,16 @@ def test_solve_from_file_restart(workdir, ledger_file):
     assert report["iterations"] <= 2
 
 
+def test_init_psi_alias_matches_erf(workdir, ledger_file):
+    # --init psi (and psi_scaled) name twice the Gaussian ramp, i.e. erf
+    for init in ("erf", "psi", "psi_scaled"):
+        assert main(["solve", "--q", "0.1", "--init", init, "--out", f"{init}.csv",
+                     "--ledger", str(ledger_file)]) == 0
+    erf_bytes = (workdir / "erf.csv").read_bytes()
+    assert (workdir / "psi.csv").read_bytes() == erf_bytes
+    assert (workdir / "psi_scaled.csv").read_bytes() == erf_bytes
+
+
 def test_constants_command(workdir):
     code = main(["constants", "--out", "const.json"])
     assert code == 0

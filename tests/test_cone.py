@@ -19,7 +19,7 @@ from kinksolve.cone import (
 )
 from kinksolve.grid import Profile, sample
 from kinksolve.kernels import KernelFamily
-from kinksolve.operators import OperatorConfig, psi, t0_psi_analytic
+from kinksolve.operators import psi, t0_psi_analytic
 
 
 def test_cube_root_holder_constant_closed_form():
@@ -206,8 +206,7 @@ def test_sup_bound_chain(default_grid, ledger):
 
 
 def test_constants_respects_custom_q_range(default_grid):
-    wider = compute_constants(default_grid, OperatorConfig(), q_range_max=0.5,
-                              n_q_samples=21)
+    wider = compute_constants(default_grid, q_range_max=0.5, n_q_samples=21)
     # narrower q-range gives smaller suprema and therefore smaller c0
     assert wider.b < 1.1418316262804378
     validate_ledger(wider)

@@ -1,17 +1,23 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc
+from scipy.integrate import quad
+from scipy.special import erf, erfc
 
+import kinksolve
 from kinksolve.kernels import (
     KernelFamily,
+    abs_mass_above,
     eval_k0,
     eval_k0_derivative,
     eval_k1,
+    eval_k1_derivative,
     eval_kq,
     eval_kq_derivative,
     fourier_symbol,
@@ -19,11 +25,29 @@ from kinksolve.kernels import (
     kernel_norms,
     kq_abs_mass,
     kq_derivative_abs_mass,
+    kq_derivative_sign_change,
     kq_sign_change,
     tail_mass,
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+#: The oracle integrates up to here; every integrand is below 1e-160 beyond it.
+ORACLE_CUTOFF = 40.0
+
+
+def quad_abs_mass(f, roots):
+    """Oracle: integral |f| over the line for an even f, by adaptive
+    quadrature on the positive half-line split at f's positive roots."""
+    edges = [0.0, *sorted(r for r in roots if r is not None and r < ORACLE_CUTOFF),
+             ORACLE_CUTOFF]
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = quad(lambda u: abs(f(u)), lo, hi, epsabs=1e-13, epsrel=1e-13,
+                        limit=200)
+        assert err <= 1e-12
+        total += val
+    return 2.0 * total
 
 
 def riemann(f, lo=-14.0, hi=14.0, n=2_800_000):
@@ -103,6 +127,10 @@ def test_kq_negative_beyond_sign_change():
         assert root == pytest.approx(math.sqrt(4.0 / q**2 + 2.0), rel=1e-14)
         assert eval_kq(root * 1.1, fam) < 0.0
         assert eval_kq(root * 0.9, fam) > 0.0
+        droot = kq_derivative_sign_change(fam)
+        assert droot == pytest.approx(math.sqrt(4.0 / q**2 + 6.0), rel=1e-14)
+        assert eval_kq_derivative(droot * 1.1, fam) > 0.0
+        assert eval_kq_derivative(droot * 0.9, fam) < 0.0
 
 
 def test_kq_derivative_vanishes_at_origin():
@@ -220,6 +248,43 @@ def test_kernel_norms_closed_form_at_q1():
     assert kq_derivative_abs_mass(fam) == pytest.approx(e1, abs=1e-12)
 
 
+@pytest.mark.parametrize("q", [*np.linspace(0.0, 1.0, 101), 2.0, 5.0])
+def test_abs_masses_match_quadrature_oracle(q):
+    fam = KernelFamily(q)
+    a = quad_abs_mass(lambda u: eval_kq(u, fam), [kq_sign_change(fam)])
+    e = quad_abs_mass(lambda u: eval_kq_derivative(u, fam),
+                      [kq_derivative_sign_change(fam)])
+    assert abs(kq_abs_mass(fam) - a) <= 1e-13
+    assert abs(kq_derivative_abs_mass(fam) - e) <= 1e-13
+
+
+def test_k1_abs_masses_match_quadrature_oracle(ledger):
+    # the two K1 masses behind c4, as the ledger computes them
+    k1_mass = quad_abs_mass(eval_k1, [math.sqrt(2.0)])
+    k1_deriv_mass = quad_abs_mass(eval_k1_derivative, [math.sqrt(6.0)])
+    assert abs(2.0 * abs_mass_above(k1_cumulative, math.sqrt(2.0)) - k1_mass) <= 1e-13
+    assert abs(2.0 * abs_mass_above(eval_k1, math.sqrt(6.0)) - k1_deriv_mass) <= 1e-13
+    slope_inf = math.exp(-1.0) / SQRT_PI
+    level_inf = float(erf(1.0)) / 2.0
+    c4 = max(ledger.c0 * k1_deriv_mass / slope_inf, ledger.c0 * k1_mass / level_inf)
+    assert ledger.c4 == pytest.approx(c4, rel=1e-13)
+
+
+def test_src_does_not_import_scipy_integrate():
+    # adaptive quadrature is a test oracle only; the package uses closed forms
+    package = Path(kinksolve.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                continue
+            assert not any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
+                           for n in names), path
+
+
 def test_kernel_norms_suprema_frozen():
     norms = kernel_norms(1.0, 101)
     # regression values; independent oracle = dense Riemann sum, h = 1e-4
@@ -260,16 +325,6 @@ def test_k1_cumulative_signed_formula():
         u = np.linspace(-16.0, t, 1_600_001)
         assert k1_cumulative(t) == pytest.approx(
             float(np.trapezoid(eval_k1(u), u)), abs=1e-10)
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_abs_integral_reports_unreached_tolerance():
-    from kinksolve.kernels import QuadratureAccuracyError, _abs_integral
-
-    # an essential singularity inside the window defeats the adaptive rule
-    nasty = lambda u: math.sin(1.0 / (u - 5.9876543)) if u != 5.9876543 else 0.0
-    with pytest.raises(QuadratureAccuracyError):
-        _abs_integral(nasty, [], 12.0, tail=lambda w: 0.0)
 
 
 def test_erf_against_maclaurin_series():

@@ -37,17 +37,11 @@ def test_solve_config_validation():
 
 
 def test_initial_guesses_are_cone_members(default_grid, ledger):
-    for kind in ("erf", "psi_scaled", "sign"):
+    for kind in ("erf", "sign"):
         p = initial_guess(kind, default_grid, ledger)
         assert check_cone(p, ledger).member, kind
         assert odd_defect(p) == 0.0
         assert (p.tail_right, p.tail_left) == (1.0, -1.0)
-
-
-def test_psi_scaled_guess_is_erf_alias(default_grid, ledger):
-    a = initial_guess("erf", default_grid, ledger)
-    b = initial_guess("psi_scaled", default_grid, ledger)
-    assert np.all(a.values == b.values)
 
 
 def test_initial_guess_from_file(default_grid, ledger, tmp_path):
@@ -70,6 +64,13 @@ def test_initial_guess_from_file_grid_mismatch(ledger, tmp_path):
     profile_to_csv(p, path)
     with pytest.raises(ValueError):
         initial_guess("from_file", make_grid(20.0, 0.05), ledger, path=str(path))
+
+
+def test_solve_rejects_initial_on_other_grid(ledger):
+    # the warm start must live on the grid the solve (and its ledger) is for
+    small = initial_guess("erf", make_grid(10.0, 0.05), ledger)
+    with pytest.raises(ValueError, match="does not match the requested grid"):
+        solve(SolveConfig(q=0.0), make_grid(20.0, 0.05), ledger, initial=small)
 
 
 def test_initial_guess_warns_outside_cone(default_grid, ledger, tmp_path):
@@ -203,7 +204,7 @@ def test_grid_refinement_consistency(kink_q0):
     fine_grid = make_grid(20.0, 0.025)
     from kinksolve.cone import compute_constants
 
-    fine_ledger = compute_constants(fine_grid, OperatorConfig())
+    fine_ledger = compute_constants(fine_grid)
     fine = solve(SolveConfig(q=0.0), fine_grid, fine_ledger)
     assert fine.converged
     diff = np.max(np.abs(fine.solution.values[::2] - kink_q0.solution.values))

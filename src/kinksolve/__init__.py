@@ -33,13 +33,11 @@ from .grid import (
 )
 from .kernels import (
     KernelFamily,
-    KernelNorms,
     eval_k0,
     eval_k1,
     eval_kq,
     eval_kq_derivative,
     fourier_symbol,
-    kernel_norms,
     tail_mass,
 )
 from .operators import (
@@ -72,8 +70,8 @@ __all__ = [
     "GridSpec", "Profile", "make_grid", "odd_defect", "profile_from_csv",
     "profile_from_json", "profile_to_csv", "profile_to_json", "project_odd",
     "sample", "sup_distance", "sup_norm",
-    "KernelFamily", "KernelNorms", "eval_k0", "eval_k1", "eval_kq",
-    "eval_kq_derivative", "fourier_symbol", "kernel_norms", "tail_mass",
+    "KernelFamily", "eval_k0", "eval_k1", "eval_kq",
+    "eval_kq_derivative", "fourier_symbol", "tail_mass",
     "OperatorConfig", "apply_pq", "apply_t0", "apply_t1", "apply_tq",
     "build_operator", "psi",
     "signed_cube_root", "t0_psi_analytic",

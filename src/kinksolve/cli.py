@@ -174,8 +174,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_constants(args) -> int:
     started = time.time()
-    if not args.q_max > 0.0:
-        raise _UsageError(f"--q-max must be positive, got {args.q_max}")
     grid = make_grid(20.0, 0.05)
     try:
         ledger = compute_constants(grid, q_range_max=args.q_max)

@@ -2,15 +2,15 @@
 
 The cone consists of odd profiles that are uniformly bounded, satisfy a
 one-third-power modulus of continuity, and dominate a scaled Gaussian ramp
-on the positive half-line.  Every constant is computed numerically, in
+on the positive half-line.  Every constant is computed in closed form, in
 dependency order, and the mutual inequalities the construction relies on
 are re-checked after the fact; a violation is a hard error, not a warning.
 
 Constant roles:
 
-    b      sup over q in [0, 1] of integral |Kq|          (uniform bound)
+    b      sup over q in [0, q_max] of integral |Kq|      (uniform bound)
     c0     sqrt(b), the sup-norm radius preserved by the cube-root map
-    e      sup over q in [0, 1] of integral |Kq'|         (derivative bound)
+    e      sup over q in [0, q_max] of integral |Kq'|     (derivative bound)
     c_hat  modulus constant of the cube root: |a^(1/3) - b^(1/3)|
            <= c_hat |a - b|^(1/3); equals 2^(2/3), attained at b = -a
     c1     c_hat (c0 e)^(1/3), the cone's continuity constant
@@ -22,6 +22,10 @@ Constant roles:
     c2     ramp scale of the cone's lower barrier
     q0     admissible deformation bound, c4 q0^2 < c3 c2 with margin
     c5     contraction factors of the cube root near 1, tabulated over D
+
+Both masses increase strictly in q (see the kernels module), so b and e are
+the closed-form masses at q = q_max.  The scale-invariant ratio behind c_hat
+reduces to one variable t = b/a in [-1, 1] and peaks at t = -1.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ from .kernels import (
     KernelFamily,
     abs_mass_above,
     eval_k1,
-    golden_section_max,
     k1_cumulative,
-    kernel_norms,
+    kq_abs_mass,
+    kq_derivative_abs_mass,
 )
-from .operators import OperatorConfig, apply_pq, psi, t0_psi_analytic
+from .operators import OperatorConfig, apply_pq, psi
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -137,54 +141,24 @@ def c5_bound(d: float) -> float:
     return min((1.0 / 3.0) * d ** (-2.0 / 3.0), _C5_CLIP)
 
 
-def cube_root_holder_constant(tol: float = 1e-12) -> float:
-    """Best constant in |a^(1/3) - b^(1/3)| <= C |a - b|^(1/3).
-
-    The ratio is scale-invariant, so it reduces to one variable t = b/a in
-    [-1, 1] (swap so |b| <= |a|); both sign branches are searched by
-    golden section.  The maximum 2^(2/3) sits at t = -1.
-    """
-
-    def same_sign(t: float) -> float:
-        return (1.0 - np.cbrt(t)) / np.cbrt(1.0 - t) if t < 1.0 else 0.0
-
-    def opposite_sign(s: float) -> float:
-        return (1.0 + np.cbrt(s)) / np.cbrt(1.0 + s)
-
-    _, peak_same = golden_section_max(same_sign, 0.0, 1.0 - 1e-9, tol)
-    _, peak_opp = golden_section_max(opposite_sign, 0.0, 1.0, tol)
-    return float(max(peak_same, peak_opp, opposite_sign(1.0)))
-
-
-def smoothed_ramp_ratio_infimum(grid: GridSpec) -> float:
-    """Infimum over x > 0 of the ratio of the smoothed ramp to the ramp.
-
-    Evaluated on the positive grid nodes together with the two analytic
-    limits: 1/sqrt(5) as x -> 0+ (ratio of derivatives) and 1 as x -> inf.
-    The ratio increases monotonically, so the infimum sits at the origin
-    limit; the grid evaluation guards that claim numerically.
-    """
-    xp = grid.x[grid.center_index + 1:]
-    ratio = t0_psi_analytic(xp) / psi(xp)
-    return min(float(np.min(ratio)), 1.0 / math.sqrt(5.0), 1.0)
-
-
-def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0,
-                      n_q_samples: int = 101) -> ConstantsLedger:
+def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0) -> ConstantsLedger:
     """Compute every cone constant in dependency order and validate them.
 
-    Raises LedgerInvariantError when any of the mutual inequalities fails;
-    the inequalities close the invariance argument, so a violation means a
-    kernel-norm or operator bug rather than a tolerable inaccuracy.
+    Raises ValueError unless q_range_max > 0, and LedgerInvariantError when
+    any of the mutual inequalities fails; the inequalities close the
+    invariance argument, so a violation means a kernel-norm or operator bug
+    rather than a tolerable inaccuracy.
     """
-    norms = kernel_norms(q_range_max, n_q_samples)
-    b = norms.b_sup
-    e = norms.e_sup
+    if not q_range_max > 0.0:
+        raise ValueError(f"q_range_max must be positive, got {q_range_max}")
+    family = KernelFamily(q_range_max)
+    b = kq_abs_mass(family)
+    e = kq_derivative_abs_mass(family)
     c0 = math.sqrt(b)
 
-    c_hat = cube_root_holder_constant()
+    c_hat = 2.0 ** (2.0 / 3.0)
     c1 = c_hat * (c0 * e) ** (1.0 / 3.0)
-    c3 = 0.5 * smoothed_ramp_ratio_infimum(grid)
+    c3 = 0.5 / math.sqrt(5.0)
 
     # Curvature-image bound: the image of an odd bounded profile vanishes at
     # the origin with bounded slope, so it is dominated by the ramp once the

@@ -19,6 +19,23 @@ the tail integrals and the absolute-mass norms rely on them):
 The second identity follows from K1 = -K0''.  Kq changes sign exactly at
 |u| = sqrt(4/q^2 + 2); its derivative vanishes at u = 0 and at
 |u| = sqrt(4/q^2 + 6).
+
+Both absolute masses increase strictly in q > 0.  With F_q the cumulative
+integral of Kq and r its sign change,
+integral |Kq| = 2 (2 F_q(r) - F_q(0) - 1).  F_q(0) = 1/2 for every q, and
+the term from the moving root drops out because F_q'(r) = Kq(r) = 0 (an
+envelope argument), so
+
+    d/dq integral |Kq| = 4 (d/dq F_q)(r) = 4 q r K0(r) > 0.
+
+Likewise integral |Kq'| = 2 (Kq(0) - 2 Kq(r')) at the derivative root r',
+Kq'(r') = 0, and d/dq Kq = 2 q K1 with K1(0) = K0(0)/2 and
+K1(r') = -(1 + 1/q^2) K0(r'), so
+
+    d/dq integral |Kq'| = 2 q K0(0) + 8 q (1 + 1/q^2) K0(r') > 0.
+
+A supremum of either mass over q in [0, q_max] is therefore its value at
+q_max.
 """
 
 from __future__ import annotations
@@ -42,23 +59,9 @@ class KernelFamily:
         q = float(self.q)
         if not q >= 0.0:
             raise ValueError(f"deformation parameter must be >= 0, got {self.q}")
+        if not math.isfinite(q * q):
+            raise ValueError(f"deformation parameter q = {self.q} has no finite square")
         object.__setattr__(self, "q", q)
-
-
-@dataclass(frozen=True)
-class KernelNorms:
-    """Absolute-mass norms of Kq and Kq' over a sampled q-range.
-
-    a_values[i] = integral |Kq| du at q = q_values[i], e_values[i] the same
-    for Kq'.  b_sup and e_sup are the suprema over the sampled range after
-    golden-section refinement around the grid maximum.
-    """
-
-    q_values: np.ndarray
-    a_values: np.ndarray
-    e_values: np.ndarray
-    b_sup: float
-    e_sup: float
 
 
 def eval_k0(u):
@@ -135,18 +138,29 @@ def kq_cumulative(t, family: KernelFamily):
     return float(out) if out.ndim == 0 else out
 
 
-def kq_sign_change(family: KernelFamily) -> float | None:
-    """Positive root of Kq, i.e. sqrt(4/q^2 + 2); None when q = 0."""
-    if family.q == 0.0:
+def _visible_root(family: KernelFamily, shift: float) -> float | None:
+    """sqrt(4/q^2 + shift), or None where the kernel underflows to 0 there.
+
+    No sign change is seen when q^2 == 0 or when exp(-r^2/4) == 0 at the
+    root r: the antiderivative at r then equals its limit at infinity to the
+    last bit, so the piece past r adds an exact zero either way, and None
+    keeps 0 * inf out of the kernel evaluations at huge r.
+    """
+    q2 = family.q * family.q
+    if q2 == 0.0:
         return None
-    return math.sqrt(4.0 / (family.q * family.q) + 2.0)
+    r = math.sqrt(4.0 / q2 + shift)
+    return r if math.exp(-0.25 * r * r) > 0.0 else None
+
+
+def kq_sign_change(family: KernelFamily) -> float | None:
+    """Positive root of Kq, i.e. sqrt(4/q^2 + 2); None as in _visible_root."""
+    return _visible_root(family, 2.0)
 
 
 def kq_derivative_sign_change(family: KernelFamily) -> float | None:
-    """Positive root of Kq', i.e. sqrt(4/q^2 + 6); None when q = 0."""
-    if family.q == 0.0:
-        return None
-    return math.sqrt(4.0 / (family.q * family.q) + 6.0)
+    """Positive root of Kq', i.e. sqrt(4/q^2 + 6); None as in _visible_root."""
+    return _visible_root(family, 6.0)
 
 
 def abs_mass_above(antiderivative, sign_change: float | None, t: float = 0.0,
@@ -194,54 +208,3 @@ def kq_derivative_abs_mass(family: KernelFamily) -> float:
     """integral |Kq'| du, telescoped through values of Kq itself."""
     return 2.0 * abs_mass_above(lambda s: eval_kq(s, family),
                                 kq_derivative_sign_change(family))
-
-
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Locate the maximum of a unimodal f on [lo, hi]; returns (argmax, max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def kernel_norms(family_range_max: float = 1.0, n_samples: int = 101) -> KernelNorms:
-    """Sample integral |Kq| and integral |Kq'| over q in [0, family_range_max].
-
-    The suprema are taken over the uniform q-grid and refined by a
-    golden-section pass around the grid maximum (the integrands vary
-    smoothly in q).
-    """
-    if not family_range_max > 0.0:
-        raise ValueError("family_range_max must be positive")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    q_values = np.linspace(0.0, float(family_range_max), int(n_samples))
-    a_values = np.array([kq_abs_mass(KernelFamily(q)) for q in q_values])
-    e_values = np.array([kq_derivative_abs_mass(KernelFamily(q)) for q in q_values])
-
-    def refine(values: np.ndarray, evaluate) -> float:
-        i = int(np.argmax(values))
-        lo = q_values[max(i - 1, 0)]
-        hi = q_values[min(i + 1, len(q_values) - 1)]
-        if hi > lo:
-            _, peak = golden_section_max(evaluate, lo, hi, tol=1e-10)
-        else:
-            peak = values[i]
-        return max(float(values[i]), float(peak))
-
-    b_sup = refine(a_values, lambda q: kq_abs_mass(KernelFamily(q)))
-    e_sup = refine(e_values, lambda q: kq_derivative_abs_mass(KernelFamily(q)))
-    return KernelNorms(q_values=q_values, a_values=a_values, e_values=e_values,
-                       b_sup=b_sup, e_sup=e_sup)

@@ -68,17 +68,16 @@ class OperatorConfig:
     quadrature path; at the default 12 the neglected kernel mass is below
     1e-16 (it must stay >= 8 to keep that error under 1e-8).
 
-    cusp_correction keeps the quadrature at full order on fixed points of
-    the cube-root map, which cross zero like x^(1/3): the singular part of
-    the odd component is fitted at the origin and its two adjacent cells are
-    integrated exactly instead of by trapezoid.  On profiles smooth at the
-    origin the fitted singular amplitude vanishes at high order, so the
-    correction is inert there.
+    The quadrature path always applies a cusp correction to stay at full
+    order on fixed points of the cube-root map, which cross zero like
+    x^(1/3): the singular part of the odd component is fitted at the origin
+    and its two adjacent cells are integrated exactly instead of by
+    trapezoid.  On profiles smooth at the origin the fitted singular
+    amplitude vanishes at high order, so the correction is inert there.
     """
 
     method: str = "quadrature"
     kernel_window: float = 12.0
-    cusp_correction: bool = True
 
     def __post_init__(self) -> None:
         if self.method not in ("quadrature", "spectral"):
@@ -156,11 +155,9 @@ class _Quadrature:
         right, left = mass - cumulative(m * h), cumulative(-m * h)
         self.odd_remainder = right - left
         self.even_remainder = right + left
-        self.cusp = None
-        if cfg.cusp_correction:
-            c = 5.0 - 4.0 * 2.0 ** (1.0 / 3.0) + 3.0 ** (1.0 / 3.0)
-            self.cusp = (2.0 * _ZETA_M43 * h * h / c) * derivative(
-                grid.x[grid.center_index + 1:])
+        c = 5.0 - 4.0 * 2.0 ** (1.0 / 3.0) + 3.0 ** (1.0 / 3.0)
+        self.cusp = (2.0 * _ZETA_M43 * h * h / c) * derivative(
+            grid.x[grid.center_index + 1:])
 
     def __call__(self, u: np.ndarray, tau: float) -> np.ndarray:
         """Image on the positive nodes of the odd profile (u, tau)."""
@@ -168,8 +165,7 @@ class _Quadrature:
         ext = np.concatenate([-tail, -u[::-1], [0.0], u, tail])[len(u) + 1:]
         out = self.h * np.convolve(ext, self.row, mode="valid")
         out += tau * self.odd_remainder
-        if self.cusp is not None:
-            out += (5.0 * u[0] - 4.0 * u[1] + u[2]) * self.cusp
+        out += (5.0 * u[0] - 4.0 * u[1] + u[2]) * self.cusp
         return out
 
     def even(self, e: np.ndarray, tail: float) -> np.ndarray:

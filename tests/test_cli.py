@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -100,6 +101,31 @@ def test_constants_command(workdir):
 
 def test_constants_rejects_negative_range(workdir):
     assert main(["constants", "--q-max", "-1"]) == 1
+
+
+def test_constants_huge_q_max_returns(workdir):
+    # the ledger takes b and e at q_max in closed form, so a q-range far
+    # beyond the kink regime returns promptly with a valid ledger
+    started = time.perf_counter()
+    assert main(["constants", "--q-max", "1e6", "--out", "const.json"]) == 0
+    assert time.perf_counter() - started < 2.0
+    d = json.loads((workdir / "const.json").read_text())
+    assert d["b"] == pytest.approx(4.84e11, rel=1e-3)
+
+
+@pytest.mark.parametrize("q_max", ["1e-158", "1e-200"])
+def test_constants_q_max_with_underflowing_square(workdir, q_max):
+    # q^2 is subnormal or 0.0 although q > 0: the kernel is K0 to the last bit
+    assert main(["constants", "--q-max", q_max, "--out", "const.json"]) == 0
+    d = json.loads((workdir / "const.json").read_text())
+    assert d["b"] == 1.0
+    assert d["e"] == 1.0 / np.sqrt(np.pi)
+
+
+@pytest.mark.parametrize("q_max", ["inf", "1e200"])
+def test_constants_q_max_with_overflowing_square_exits_1(workdir, capsys, q_max):
+    assert main(["constants", "--q-max", q_max]) == 1
+    assert "q = " in capsys.readouterr().err
 
 
 def test_constants_invariant_failure_exits_3(workdir, monkeypatch):

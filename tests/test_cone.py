@@ -12,35 +12,39 @@ from kinksolve.cone import (
     check_cone,
     check_preservation,
     compute_constants,
-    cube_root_holder_constant,
     random_cone_members,
-    smoothed_ramp_ratio_infimum,
     validate_ledger,
 )
 from kinksolve.grid import Profile, sample
-from kinksolve.kernels import KernelFamily
+from kinksolve.kernels import KernelFamily, kq_abs_mass, kq_derivative_abs_mass
 from kinksolve.operators import psi, t0_psi_analytic
 
 
-def test_cube_root_holder_constant_closed_form():
-    # maximum of the one-variable reduction sits at opposite-sign pairs,
-    # value 2^(2/3); dense sampling as the independent check
-    val = cube_root_holder_constant()
-    assert val == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-9)
-    t = np.linspace(0.0, 1.0, 200001)
-    dense = np.max((1.0 + np.cbrt(t)) / np.cbrt(1.0 + t))
-    assert val == pytest.approx(float(dense), abs=1e-9)
-    assert 1.0 <= val <= 2.0
+def test_cube_root_holder_constant_closed_form(ledger):
+    # |a^(1/3) - b^(1/3)| / |a - b|^(1/3) is scale-invariant; with |b| <= |a|
+    # it depends on t = b/a in [-1, 1] only.  Dense samples of both sign
+    # branches stay below 2^(2/3), which t = -1 attains.
+    def ratio(t):
+        return np.abs(1.0 - np.cbrt(t)) / np.cbrt(np.abs(1.0 - t))
+
+    c_hat = 2.0 ** (2.0 / 3.0)
+    assert ledger.c_hat == c_hat
+    same_sign = np.linspace(0.0, 1.0, 200001)[:-1]
+    opposite_sign = -np.linspace(0.0, 1.0, 200001)
+    for t in (same_sign, opposite_sign):
+        assert float(np.max(ratio(t))) <= c_hat * (1.0 + 1e-15)
+    assert float(ratio(-1.0)) == pytest.approx(c_hat, rel=1e-15)
 
 
-def test_smoothed_ramp_ratio_monotone_and_infimum(default_grid):
+def test_smoothed_ramp_ratio_monotone_and_infimum(default_grid, ledger):
     # the ratio of the smoothed ramp to the ramp increases in x, so its
-    # infimum over x > 0 is the origin limit 1/sqrt(5)
+    # infimum over x > 0 is the origin limit 1/sqrt(5) = 2 c3
     xp = default_grid.x[default_grid.center_index + 1:]
     ratio = t0_psi_analytic(xp) / psi(xp)
     assert np.all(np.diff(ratio) > -1e-15)
-    inf = smoothed_ramp_ratio_infimum(default_grid)
-    assert inf == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-14)
+    assert ledger.c3 == 0.5 / math.sqrt(5.0)
+    assert float(np.min(ratio)) >= 2.0 * ledger.c3
+    assert ratio[0] == pytest.approx(2.0 * ledger.c3, rel=1e-3)
 
 
 def test_constants_frozen_values(ledger):
@@ -206,7 +210,26 @@ def test_sup_bound_chain(default_grid, ledger):
 
 
 def test_constants_respects_custom_q_range(default_grid):
-    wider = compute_constants(default_grid, q_range_max=0.5, n_q_samples=21)
+    wider = compute_constants(default_grid, q_range_max=0.5)
     # narrower q-range gives smaller suprema and therefore smaller c0
     assert wider.b < 1.1418316262804378
     validate_ledger(wider)
+
+
+@pytest.mark.parametrize("q_max", [0.3, 0.5, 1.0, 3.7])
+def test_constants_take_suprema_at_q_max(default_grid, q_max):
+    # b and e are the closed-form masses at q_max; a q-sweep of the masses
+    # is the oracle that nothing in [0, q_max] exceeds them
+    led = compute_constants(default_grid, q_range_max=q_max)
+    fam = KernelFamily(q_max)
+    assert led.b == kq_abs_mass(fam)
+    assert led.e == kq_derivative_abs_mass(fam)
+    sweep = [KernelFamily(q) for q in np.linspace(0.0, q_max, 101)]
+    assert max(kq_abs_mass(f) for f in sweep) <= led.b
+    assert max(kq_derivative_abs_mass(f) for f in sweep) <= led.e
+
+
+@pytest.mark.parametrize("q_max", [0.0, -1.0, float("nan")])
+def test_constants_rejects_nonpositive_q_range(default_grid, q_max):
+    with pytest.raises(ValueError, match="q_range_max"):
+        compute_constants(default_grid, q_range_max=q_max)

@@ -22,7 +22,6 @@ from kinksolve.kernels import (
     eval_kq_derivative,
     fourier_symbol,
     k1_cumulative,
-    kernel_norms,
     kq_abs_mass,
     kq_derivative_abs_mass,
     kq_derivative_sign_change,
@@ -231,9 +230,20 @@ def test_tail_mass_monotone_in_threshold():
 
 
 def test_kernel_norms_base_values():
-    norms = kernel_norms(1.0, 21)
-    assert norms.a_values[0] == pytest.approx(1.0, abs=1e-12)
-    assert norms.e_values[0] == pytest.approx(1.0 / SQRT_PI, abs=1e-12)
+    fam = KernelFamily(0.0)
+    assert kq_abs_mass(fam) == pytest.approx(1.0, abs=1e-12)
+    assert kq_derivative_abs_mass(fam) == pytest.approx(1.0 / SQRT_PI, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [1e-158, 1e-200])
+def test_masses_finite_when_q_squared_underflows(q):
+    # q^2 is subnormal (1e-158) or exactly 0 (1e-200): the sign changes lie
+    # where the kernel has underflowed, so they are reported as absent
+    fam = KernelFamily(q)
+    assert kq_sign_change(fam) is None
+    assert kq_derivative_sign_change(fam) is None
+    assert kq_abs_mass(fam) == 1.0
+    assert kq_derivative_abs_mass(fam) == 1.0 / SQRT_PI
 
 
 def test_kernel_norms_closed_form_at_q1():
@@ -286,31 +296,36 @@ def test_src_does_not_import_scipy_integrate():
 
 
 def test_kernel_norms_suprema_frozen():
-    norms = kernel_norms(1.0, 101)
-    # regression values; independent oracle = dense Riemann sum, h = 1e-4
-    assert norms.b_sup == pytest.approx(1.1418316262804378, rel=1e-12)
-    assert norms.e_sup == pytest.approx(0.9389073776999057, rel=1e-12)
-    u = np.arange(-14.0, 14.0, 1e-4)
+    # both masses increase in q, so their suprema over [0, 1] are the values
+    # at q = 1; regression values, independent oracle = dense Riemann sum
     fam = KernelFamily(1.0)
-    assert norms.b_sup == pytest.approx(
-        float(np.sum(np.abs(eval_kq(u, fam)))) * 1e-4, abs=1e-7)
-    assert norms.b_sup >= 1.0
+    b, e = kq_abs_mass(fam), kq_derivative_abs_mass(fam)
+    assert b == pytest.approx(1.1418316262804378, rel=1e-12)
+    assert e == pytest.approx(0.9389073776999057, rel=1e-12)
+    u = np.arange(-14.0, 14.0, 1e-4)
+    assert b == pytest.approx(float(np.sum(np.abs(eval_kq(u, fam)))) * 1e-4, abs=1e-7)
+    assert b >= 1.0
 
 
 def test_kernel_norms_monotone_in_q():
-    norms = kernel_norms(1.0, 41)
-    assert np.all(np.diff(norms.a_values) >= -1e-13)
-    assert norms.b_sup >= np.max(norms.a_values)
-    assert norms.e_sup >= np.max(norms.e_values)
+    # the masses are flat to rounding at small q, hence the 2e-15 slack
+    qs = [*np.linspace(0.0, 5.0, 2001), 10.0, 1e3]
+    a = np.array([kq_abs_mass(KernelFamily(q)) for q in qs])
+    e = np.array([kq_derivative_abs_mass(KernelFamily(q)) for q in qs])
+    assert np.all(np.diff(a) >= -2e-15)
+    assert np.all(np.diff(e) >= -2e-15)
     # a_q -> 1 as q -> 0
-    assert norms.a_values[1] - 1.0 < 1e-3
+    assert a[1] - 1.0 < 1e-3
 
 
 def test_kernel_norms_validation():
-    with pytest.raises(ValueError):
-        kernel_norms(-1.0, 11)
-    with pytest.raises(ValueError):
-        kernel_norms(1.0, 1)
+    # the masses exist only for q whose square is finite
+    for q in [float("inf"), 1e200]:
+        with pytest.raises(ValueError, match="q = "):
+            KernelFamily(q)
+    fam = KernelFamily(1e150)
+    assert math.isfinite(kq_abs_mass(fam))
+    assert math.isfinite(kq_derivative_abs_mass(fam))
 
 
 def test_unit_mass_for_all_q():

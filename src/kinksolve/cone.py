@@ -21,7 +21,8 @@ Constant roles:
     ell    lower bound for ramp^(1/3) / ramp, equal to 2^(2/3)
     c2     ramp scale of the cone's lower barrier
     q0     admissible deformation bound, c4 q0^2 < c3 c2 with margin
-    c5     contraction factors of the cube root near 1, tabulated over D
+    c5     contraction factor of the cube root on [d, inf), c5_bound(d);
+           the JSON ledger tabulates it over d = 0.05, 0.10, ..., 0.95
 
 Both masses increase strictly in q (see the kernels module), so b and e are
 the closed-form masses at q = q_max.  The scale-invariant ratio behind c_hat
@@ -31,17 +32,16 @@ reduces to one variable t = b/a in [-1, 1] and peaks at t = -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
 from .grid import GridSpec, Profile, odd_defect, sup_norm
 from .kernels import (
+    K1_WEIGHTS,
     KernelFamily,
     abs_mass_above,
-    eval_k1,
-    k1_cumulative,
     kq_abs_mass,
     kq_derivative_abs_mass,
 )
@@ -57,8 +57,14 @@ MEMBERSHIP_SLACK = 1e-10
 ODD_TOL = 1e-12
 
 #: Node pairs closer than this are checked exhaustively by the modulus
-#: condition; more distant pairs are sampled randomly.
+#: condition; FAR_PAIRS more distant pairs are sampled randomly, from a
+#: generator seeded with FAR_PAIR_SEED.
 NEAR_PAIR_RANGE = 2.0
+FAR_PAIRS = 10000
+FAR_PAIR_SEED = 42
+
+#: Arguments d of the cube-root contraction factor tabulated in the JSON ledger.
+_C5_GRID = np.round(np.arange(0.05, 0.951, 0.05), 10)
 
 #: Strict upper gap applied when clipping the cube-root contraction factors
 #: below one.
@@ -76,7 +82,7 @@ class LedgerInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstantsLedger:
-    """Numerically computed constants, with the cube-root contraction table."""
+    """Numerically computed constants; c5 is the function c5_bound."""
 
     b: float
     c0: float
@@ -88,27 +94,21 @@ class ConstantsLedger:
     ell: float
     c2: float
     q0: float
-    c5_grid: np.ndarray = field(repr=False)
-    c5_values: np.ndarray = field(repr=False)
-
-    def c5(self, d: float) -> float:
-        """Contraction factor of the cube root on [d, inf), 0 < d < 1."""
-        return c5_bound(d)
 
     def to_json_dict(self) -> dict:
+        d_grid = _C5_GRID.tolist()
         return {
             "b": self.b, "c0": self.c0, "e": self.e, "c_hat": self.c_hat,
             "c1": self.c1, "c3": self.c3, "c4": self.c4, "ell": self.ell,
             "c2": self.c2, "q0": self.q0,
-            "c5": {"grid": self.c5_grid.tolist(), "values": self.c5_values.tolist()},
+            "c5": {"grid": d_grid, "values": [c5_bound(d) for d in d_grid]},
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstantsLedger":
+        """Inverse of to_json_dict; the c5 table is derived, so it is not read."""
         return cls(b=d["b"], c0=d["c0"], e=d["e"], c_hat=d["c_hat"], c1=d["c1"],
-                   c3=d["c3"], c4=d["c4"], ell=d["ell"], c2=d["c2"], q0=d["q0"],
-                   c5_grid=np.asarray(d["c5"]["grid"], dtype=float),
-                   c5_values=np.asarray(d["c5"]["values"], dtype=float))
+                   c3=d["c3"], c4=d["c4"], ell=d["ell"], c2=d["c2"], q0=d["q0"])
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,8 @@ def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0) -> ConstantsL
     # ramp's slope infimum on [0, 1] and level infimum on [1, inf) are paid.
     ramp_slope_inf = math.exp(-1.0) / _SQRT_PI      # attained at x = 1
     ramp_level_inf = psi(1.0)                        # attained at x = 1
-    k1_abs = 2.0 * abs_mass_above(k1_cumulative, math.sqrt(2.0))
-    k1_deriv_abs = 2.0 * abs_mass_above(eval_k1, math.sqrt(6.0))
+    k1_abs = 2.0 * abs_mass_above(0.0, K1_WEIGHTS)
+    k1_deriv_abs = 2.0 * abs_mass_above(0.0, K1_WEIGHTS, derivative=True)
     slope_bound = c0 * k1_deriv_abs
     level_bound = c0 * k1_abs
     c4 = max(slope_bound / ramp_slope_inf, level_bound / ramp_level_inf)
@@ -182,12 +182,8 @@ def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0) -> ConstantsL
     c2 = min(math.sqrt(c3 * ell**3) * (1.0 - _C2_SHAVE), cap)
     q0 = 0.99 * math.sqrt(c3 * c2 / c4)
 
-    d_grid = np.round(np.arange(0.05, 0.951, 0.05), 10)
-    c5_values = np.array([c5_bound(d) for d in d_grid])
-
     ledger = ConstantsLedger(b=b, c0=c0, e=e, c_hat=c_hat, c1=c1, c3=c3, c4=c4,
-                             ell=ell, c2=c2, q0=q0,
-                             c5_grid=d_grid, c5_values=c5_values)
+                             ell=ell, c2=c2, q0=q0)
     validate_ledger(ledger)
     return ledger
 
@@ -207,17 +203,14 @@ def validate_ledger(ledger: ConstantsLedger) -> None:
         raise LedgerInvariantError("admissible deformation bound q0 is too large")
     if not ledger.q0 > 0.0:
         raise LedgerInvariantError("q0 must be strictly positive")
-    if not np.all((ledger.c5_values > 0.0) & (ledger.c5_values < 1.0)):
-        raise LedgerInvariantError("cube-root contraction factors must lie in (0, 1)")
 
 
-def check_cone(p: Profile, ledger: ConstantsLedger, far_pairs: int = 10000,
-               seed: int = 42) -> ConeReport:
+def check_cone(p: Profile, ledger: ConstantsLedger) -> ConeReport:
     """Evaluate the four cone-membership conditions on the grid nodes.
 
     The modulus condition is checked exhaustively over all node pairs within
     NEAR_PAIR_RANGE (the ratio peaks at short range for one-third-power
-    moduli) plus `far_pairs` seeded random distant pairs.
+    moduli) plus FAR_PAIRS seeded random distant pairs.
     """
     g = p.grid
     v = p.values
@@ -231,9 +224,9 @@ def check_cone(p: Profile, ledger: ConstantsLedger, far_pairs: int = 10000,
     for lag in range(1, max_lag + 1):
         diff = np.max(np.abs(v[lag:] - v[:-lag]))
         worst = max(worst, diff / (lag * h) ** (1.0 / 3.0))
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, g.n_points, size=far_pairs)
-    j = rng.integers(0, g.n_points, size=far_pairs)
+    rng = np.random.default_rng(FAR_PAIR_SEED)
+    i = rng.integers(0, g.n_points, size=FAR_PAIRS)
+    j = rng.integers(0, g.n_points, size=FAR_PAIRS)
     keep = np.abs(i - j) > max_lag
     if np.any(keep):
         dist = (np.abs(i[keep] - j[keep]) * h) ** (1.0 / 3.0)

@@ -1,24 +1,26 @@
 """Closed-form Gaussian convolution kernels and their integral norms.
 
-The kernel family is
+Every kernel in the package is a weighted sum a K0 + b K1 of
 
     K0(u) = exp(-u^2/4) / (2 sqrt(pi))            (unit-mass Gaussian)
     K1(u) = (1/2 - u^2/4) K0(u) = -K0''(u)        (curvature correction)
-    Kq(u) = K0(u) + q^2 K1(u)
 
-for a deformation parameter q >= 0.  Under the Fourier transform
-f_hat(k) = integral f(u) exp(-i k u) du the family acts as the multiplier
-(1 + q^2 k^2) exp(-k^2).
+with weights (a, b): K0 = (1, 0), K1 = (0, 1), and the family member
+Kq = K0 + q^2 K1 = (1, q^2) for a deformation parameter q >= 0.  Each
+quantity is written once, over the weights:
 
-Useful antiderivatives (documented here because the convolution operators,
-the tail integrals and the absolute-mass norms rely on them):
+    value            (a + b (1/2 - u^2/4)) K0(u)
+    derivative       -(u/2) (a + b (3/2 - u^2/4)) K0(u)
+    antiderivative   integral_{-inf}^{t} = a erfc(-t/2) / 2 + b (t/2) K0(t)
+    sign change      |u| = sqrt(4a/b + 2); of the derivative, sqrt(4a/b + 6)
+    symbol           (a + b k^2) exp(-k^2)
 
-    integral_{-inf}^{t} K0 = erfc(-t/2) / 2
-    integral_{-inf}^{t} K1 = -K0'(t) = (t/2) K0(t)
-
-The second identity follows from K1 = -K0''.  Kq changes sign exactly at
-|u| = sqrt(4/q^2 + 2); its derivative vanishes at u = 0 and at
-|u| = sqrt(4/q^2 + 6).
+The antiderivative follows from K1 = -K0'', which integrates to
+-K0'(t) = (t/2) K0(t), so the total mass is a.  The symbol is the Fourier
+multiplier under f_hat(k) = integral f(u) exp(-i k u) du.  Where the
+Gaussian factor underflows to 0 the polynomial factor may overflow, so each
+product takes its exact limit 0 there.  The absolute masses telescope
+through the antiderivative across the one positive sign change.
 
 Both absolute masses increase strictly in q > 0.  With F_q the cumulative
 integral of Kq and r its sign change,
@@ -46,8 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-_SQRT_PI = math.sqrt(math.pi)
-_INV_TWO_SQRT_PI = 1.0 / (2.0 * _SQRT_PI)
+_INV_TWO_SQRT_PI = 1.0 / (2.0 * math.sqrt(math.pi))
+
+#: Weights (a, b) of the Gaussian K0 and of the curvature kernel K1.
+K0_WEIGHTS = (1.0, 0.0)
+K1_WEIGHTS = (0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class KernelFamily:
@@ -63,119 +69,107 @@ class KernelFamily:
             raise ValueError(f"deformation parameter q = {self.q} has no finite square")
         object.__setattr__(self, "q", q)
 
+    @property
+    def weights(self) -> tuple[float, float]:
+        """(a, b) of Kq = a K0 + b K1, i.e. (1, q^2)."""
+        return 1.0, self.q * self.q
+
+
+def _k0(u):
+    """The Gaussian factor K0(u) = exp(-u^2/4) / (2 sqrt(pi))."""
+    return _INV_TWO_SQRT_PI * np.exp(-0.25 * u * u)
+
+
+def _times_gaussian(poly, gaussian, u):
+    """poly(u) * gaussian(u) for a scalar or array u, with the exact limit 0
+    where the Gaussian has underflowed to 0 (poly(u) may be infinite there,
+    and inf * 0 is nan)."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = gaussian(u)
+        out = np.where(g == 0.0, 0.0, poly(u) * g)
+    return float(out) if out.ndim == 0 else out
+
+
+def eval_kernel(u, weights):
+    """a K0(u) + b K1(u) = (a + b (1/2 - u^2/4)) K0(u)."""
+    a, b = weights
+    return _times_gaussian(lambda u: a + b * (0.5 - 0.25 * u * u), _k0, u)
+
+
+def eval_kernel_derivative(u, weights):
+    """Derivative -(u/2) (a + b (3/2 - u^2/4)) K0(u) of a K0 + b K1."""
+    a, b = weights
+    return _times_gaussian(lambda u: -0.5 * u * (a + b * (1.5 - 0.25 * u * u)), _k0, u)
+
+
+def kernel_cumulative(t, weights):
+    """integral_{-inf}^{t} (a K0 + b K1) = a erfc(-t/2) / 2 + b (t/2) K0(t)."""
+    a, b = weights
+    t = np.asarray(t, dtype=float)
+    out = a * (0.5 * erfc(-0.5 * t)) + _times_gaussian(lambda t: b * 0.5 * t, _k0, t)
+    return float(out) if out.ndim == 0 else out
+
 
 def eval_k0(u):
     """Unit-mass Gaussian kernel K0(u) = exp(-u^2/4) / (2 sqrt(pi))."""
-    u = np.asarray(u, dtype=float)
-    out = _INV_TWO_SQRT_PI * np.exp(-0.25 * u * u)
-    return float(out) if out.ndim == 0 else out
+    return eval_kernel(u, K0_WEIGHTS)
 
 
 def eval_k1(u):
     """Curvature kernel K1(u) = (1/2 - u^2/4) K0(u); equals -K0''(u)."""
-    u = np.asarray(u, dtype=float)
-    out = (0.5 - 0.25 * u * u) * (_INV_TWO_SQRT_PI * np.exp(-0.25 * u * u))
-    return float(out) if out.ndim == 0 else out
+    return eval_kernel(u, K1_WEIGHTS)
 
 
 def eval_kq(u, family: KernelFamily):
     """Combined kernel Kq(u) = K0(u) + q^2 K1(u)."""
-    u = np.asarray(u, dtype=float)
-    q2 = family.q * family.q
-    out = (1.0 + q2 * (0.5 - 0.25 * u * u)) * (_INV_TWO_SQRT_PI * np.exp(-0.25 * u * u))
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_k0_derivative(u):
-    """K0'(u) = -(u/2) K0(u)."""
-    u = np.asarray(u, dtype=float)
-    out = -0.5 * u * (_INV_TWO_SQRT_PI * np.exp(-0.25 * u * u))
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_k1_derivative(u):
-    """K1'(u) = -(u/2) (3/2 - u^2/4) K0(u)."""
-    u = np.asarray(u, dtype=float)
-    out = -0.5 * u * (1.5 - 0.25 * u * u) * (_INV_TWO_SQRT_PI * np.exp(-0.25 * u * u))
-    return float(out) if out.ndim == 0 else out
+    return eval_kernel(u, family.weights)
 
 
 def eval_kq_derivative(u, family: KernelFamily):
     """Hand-differentiated Kq'(u) = -(u/2) (1 + q^2 (3/2 - u^2/4)) K0(u)."""
-    u = np.asarray(u, dtype=float)
-    q2 = family.q * family.q
-    k0 = _INV_TWO_SQRT_PI * np.exp(-0.25 * u * u)
-    out = -0.5 * u * (1.0 + q2 * (1.5 - 0.25 * u * u)) * k0
-    return float(out) if out.ndim == 0 else out
+    return eval_kernel_derivative(u, family.weights)
 
 
 def fourier_symbol(k, family: KernelFamily):
-    """Frequency-space multiplier (1 + q^2 k^2) exp(-k^2) of the family."""
-    k = np.asarray(k, dtype=float)
-    q2 = family.q * family.q
-    out = (1.0 + q2 * k * k) * np.exp(-k * k)
-    return float(out) if out.ndim == 0 else out
+    """Frequency-space multiplier (a + b k^2) exp(-k^2) = (1 + q^2 k^2) exp(-k^2)."""
+    a, b = family.weights
+    return _times_gaussian(lambda k: a + b * k * k, lambda k: np.exp(-k * k), k)
 
 
-def k1_cumulative(t):
-    """integral_{-inf}^{t} K1(u) du = (t/2) K0(t).
+def sign_change(weights, derivative: bool = False) -> float | None:
+    """Positive root sqrt(4a/b + 2) of a K0 + b K1, or sqrt(4a/b + 6) of its
+    derivative; None when b == 0 or when the kernel underflows to 0 there.
 
-    Signed formula: K1 = -K0'' integrates to -K0'(t) = (t/2) K0(t), which
-    vanishes at both infinities (K1 has zero total mass) and at t = 0.
+    Past an underflowed root the antiderivative equals its limit at infinity
+    to the last bit, so the piece beyond it adds an exact zero either way,
+    and None keeps 0 * inf out of the kernel evaluations at huge r.
     """
-    t = np.asarray(t, dtype=float)
-    out = 0.5 * t * (_INV_TWO_SQRT_PI * np.exp(-0.25 * t * t))
-    return float(out) if out.ndim == 0 else out
-
-
-def kq_cumulative(t, family: KernelFamily):
-    """integral_{-inf}^{t} Kq(u) du."""
-    q2 = family.q * family.q
-    t_arr = np.asarray(t, dtype=float)
-    out = 0.5 * erfc(-0.5 * t_arr) + q2 * 0.5 * t_arr * (
-        _INV_TWO_SQRT_PI * np.exp(-0.25 * t_arr * t_arr)
-    )
-    return float(out) if out.ndim == 0 else out
-
-
-def _visible_root(family: KernelFamily, shift: float) -> float | None:
-    """sqrt(4/q^2 + shift), or None where the kernel underflows to 0 there.
-
-    No sign change is seen when q^2 == 0 or when exp(-r^2/4) == 0 at the
-    root r: the antiderivative at r then equals its limit at infinity to the
-    last bit, so the piece past r adds an exact zero either way, and None
-    keeps 0 * inf out of the kernel evaluations at huge r.
-    """
-    q2 = family.q * family.q
-    if q2 == 0.0:
+    a, b = weights
+    if b == 0.0:
         return None
-    r = math.sqrt(4.0 / q2 + shift)
-    return r if math.exp(-0.25 * r * r) > 0.0 else None
+    r = math.sqrt(4.0 * a / b + (6.0 if derivative else 2.0))
+    return r if _k0(r) > 0.0 else None
 
 
-def kq_sign_change(family: KernelFamily) -> float | None:
-    """Positive root of Kq, i.e. sqrt(4/q^2 + 2); None as in _visible_root."""
-    return _visible_root(family, 2.0)
+def abs_mass_above(t: float, weights, derivative: bool = False) -> float:
+    """integral_t^inf |f| for t >= 0, with f = a K0 + b K1 or, if
+    `derivative`, its derivative.
 
-
-def kq_derivative_sign_change(family: KernelFamily) -> float | None:
-    """Positive root of Kq', i.e. sqrt(4/q^2 + 6); None as in _visible_root."""
-    return _visible_root(family, 6.0)
-
-
-def abs_mass_above(antiderivative, sign_change: float | None, t: float = 0.0,
-                   at_infinity: float = 0.0) -> float:
-    """integral_t^inf |f| for t >= 0, from an antiderivative F of f.
-
-    f may change sign on (t, inf) only at `sign_change` (None: nowhere), and
-    at_infinity is the limit of F at +inf.  Each single-signed piece then
-    contributes |F(end) - F(start)|.  For an even f the absolute mass over
-    the whole line is twice the value at t = 0.
+    The antiderivative F of f is the cumulative integral, with limit a at
+    +inf; that of f' is f itself, with limit 0.  f changes sign on (0, inf)
+    at most at sign_change(weights, derivative), and each single-signed piece
+    contributes |F(end) - F(start)|.  |f| is even, so the mass over the whole
+    line is twice the value at t = 0.
     """
-    F = antiderivative
-    if sign_change is None or t >= sign_change:
+    if derivative:
+        F, at_infinity = (lambda s: eval_kernel(s, weights)), 0.0
+    else:
+        F, at_infinity = (lambda s: kernel_cumulative(s, weights)), weights[0]
+    r = sign_change(weights, derivative)
+    if r is None or t >= r:
         return abs(at_infinity - F(t))
-    return abs(F(sign_change) - F(t)) + abs(at_infinity - F(sign_change))
+    return abs(F(r) - F(t)) + abs(at_infinity - F(r))
 
 
 def tail_mass(threshold: float, family: KernelFamily) -> tuple[float, float]:
@@ -184,27 +178,20 @@ def tail_mass(threshold: float, family: KernelFamily) -> tuple[float, float]:
     Returns (integral_{-inf}^{-threshold} |Kq|, integral_{threshold}^{inf} |Kq|).
     |Kq| is even, so the two components are equal.
     """
-    t = float(threshold)
+    t, w = float(threshold), family.weights
     if t > 0.0:
-        right = _kq_abs_mass_above(t, family)
+        right = abs_mass_above(t, w)
     else:
         # mass above t = total - mass above -t (evenness)
-        right = 2.0 * _kq_abs_mass_above(0.0, family) - _kq_abs_mass_above(-t, family)
+        right = 2.0 * abs_mass_above(0.0, w) - abs_mass_above(-t, w)
     return right, right
-
-
-def _kq_abs_mass_above(t: float, family: KernelFamily) -> float:
-    """integral_t^inf |Kq| for t >= 0, through the cumulative integral of Kq."""
-    return abs_mass_above(lambda s: kq_cumulative(s, family), kq_sign_change(family),
-                          t, at_infinity=1.0)
 
 
 def kq_abs_mass(family: KernelFamily) -> float:
     """integral |Kq| du over the line."""
-    return 2.0 * _kq_abs_mass_above(0.0, family)
+    return 2.0 * abs_mass_above(0.0, family.weights)
 
 
 def kq_derivative_abs_mass(family: KernelFamily) -> float:
     """integral |Kq'| du, telescoped through values of Kq itself."""
-    return 2.0 * abs_mass_above(lambda s: eval_kq(s, family),
-                                kq_derivative_sign_change(family))
+    return 2.0 * abs_mass_above(0.0, family.weights, derivative=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import erf
@@ -35,14 +36,12 @@ from scipy.special import zeta as _sp_zeta
 
 from .grid import GridSpec, Profile
 from .kernels import (
+    K1_WEIGHTS,
     KernelFamily,
-    eval_k1,
-    eval_k1_derivative,
-    eval_kq,
-    eval_kq_derivative,
+    eval_kernel,
+    eval_kernel_derivative,
     fourier_symbol,
-    k1_cumulative,
-    kq_cumulative,
+    kernel_cumulative,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -64,9 +63,9 @@ _ZETA_M43 = float(2.0 ** (-4.0 / 3.0) * math.pi ** (-7.0 / 3.0)
 class OperatorConfig:
     """How to apply the linear operators.
 
-    kernel_window is the convolution cutoff |x - y| <= window for the
-    quadrature path; at the default 12 the neglected kernel mass is below
-    1e-16 (it must stay >= 8 to keep that error under 1e-8).
+    kernel_window is the constant convolution cutoff |x - y| <= 12 of the
+    quadrature path.  The neglected kernel mass there is below 1e-16; a
+    window >= 8 would keep it under 1e-8.
 
     The quadrature path always applies a cusp correction to stay at full
     order on fixed points of the cube-root map, which cross zero like
@@ -77,13 +76,11 @@ class OperatorConfig:
     """
 
     method: str = "quadrature"
-    kernel_window: float = 12.0
+    kernel_window: ClassVar[float] = 12.0
 
     def __post_init__(self) -> None:
         if self.method not in ("quadrature", "spectral"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.kernel_window >= 8.0:
-            raise ValueError("kernel_window must be >= 8")
 
 
 def psi(x):
@@ -113,12 +110,13 @@ class _Quadrature:
 
     The half-line samples are extended by reflection and, beyond the
     truncation, by the tail constants, so the integrand decays to kernel
-    level (< 1e-16 at the default window) at both ends of every node's
+    level (< 1e-16 at the window of 12) at both ends of every node's
     window and the trapezoid rule converges superalgebraically.  One direct
     convolution of that extension, started at node 1 - m (odd) or -m (even),
-    yields exactly the wanted outputs.  The mass outside the window is added
-    in closed form through the kernel's cumulative integral C and total mass:
-    tail_right (mass - C(w)) + tail_left C(-w).
+    yields exactly the wanted outputs.  The kernel is a K0 + b K1 with
+    weights (a, b); the mass outside the window is added in closed form
+    through its cumulative integral C and total mass a:
+    tail_right (a - C(w)) + tail_left C(-w).
 
     Profiles are assumed continuous at the truncation; a mismatch between
     the edge samples and the tails contributes O(spacing * mismatch) error
@@ -146,18 +144,18 @@ class _Quadrature:
     correction then does essentially nothing.
     """
 
-    def __init__(self, grid: GridSpec, kernel, cumulative, mass: float,
-                 derivative, cfg: OperatorConfig) -> None:
+    def __init__(self, grid: GridSpec, weights: tuple[float, float]) -> None:
         h = grid.spacing
-        m = int(round(cfg.kernel_window / h))
+        m = int(round(OperatorConfig.kernel_window / h))
         self.h, self.m = h, m
-        self.row = kernel(np.arange(-m, m + 1) * h)
-        right, left = mass - cumulative(m * h), cumulative(-m * h)
+        self.row = eval_kernel(np.arange(-m, m + 1) * h, weights)
+        right = weights[0] - kernel_cumulative(m * h, weights)
+        left = kernel_cumulative(-m * h, weights)
         self.odd_remainder = right - left
         self.even_remainder = right + left
         c = 5.0 - 4.0 * 2.0 ** (1.0 / 3.0) + 3.0 ** (1.0 / 3.0)
-        self.cusp = (2.0 * _ZETA_M43 * h * h / c) * derivative(
-            grid.x[grid.center_index + 1:])
+        self.cusp = (2.0 * _ZETA_M43 * h * h / c) * eval_kernel_derivative(
+            grid.x[grid.center_index + 1:], weights)
 
     def __call__(self, u: np.ndarray, tau: float) -> np.ndarray:
         """Image on the positive nodes of the odd profile (u, tau)."""
@@ -184,6 +182,7 @@ class _Spectral:
     truncation.  A Gaussian-smoothed step erf(a x) maps to erf(b x) with
     b = a / sqrt(1 + 4 a^2); the curvature part is minus its second
     derivative, (4 b^3 / sqrt(pi)) x exp(-b^2 x^2); constants are fixed.
+    The kernel's weights (w0, w1) on K0 and K1 weigh the two images.
     Each image is symmetrized on the periodic grid (x -> -x maps index i to
     (N - i) mod N).  The seam node x = -L of the odd extension is forced to
     zero (an odd periodic function must vanish there); the value it drops is
@@ -197,11 +196,9 @@ class _Spectral:
         self.c = c
         self.symbol = fourier_symbol(k, family)
         self.reference = erf(0.5 * x)
-        b, q = _REF_B, family.q
-        image = erf(b * x)
-        if q != 0.0:
-            image = image + (q * q) * (4.0 * b**3 / _SQRT_PI) * x * np.exp(-(b * x) ** 2)
-        self.reference_image = image
+        (w0, w1), b = family.weights, _REF_B
+        curvature = w1 * (4.0 * b**3 / _SQRT_PI) * x * np.exp(-(b * x) ** 2)
+        self.reference_image = w0 * erf(b * x) + curvature
 
     def _multiply(self, arr: np.ndarray) -> np.ndarray:
         return np.fft.irfft(np.fft.rfft(arr) * self.symbol, n=len(arr))
@@ -231,9 +228,7 @@ def build_operator(grid: GridSpec, family: KernelFamily,
     """
     if cfg.method == "spectral":
         return _Spectral(grid, family)
-    return _Quadrature(grid, lambda u: eval_kq(u, family),
-                       lambda t: kq_cumulative(t, family), 1.0,
-                       lambda u: eval_kq_derivative(u, family), cfg)
+    return _Quadrature(grid, family.weights)
 
 
 def _apply(p: Profile, op) -> np.ndarray:
@@ -266,9 +261,10 @@ def apply_t1(p: Profile, cfg: OperatorConfig = OperatorConfig()) -> Profile:
 
     The kernel integrates to zero, so constants map to zero and the output
     tails vanish: at x -> +-inf the value tends to tail * (total mass) = 0,
-    for equal-magnitude constant tails and for odd tail pairs alike.
+    for equal-magnitude constant tails and for odd tail pairs alike.  cfg
+    has nothing to select here: the path is quadrature at the fixed window.
     """
-    op = _Quadrature(p.grid, eval_k1, k1_cumulative, 0.0, eval_k1_derivative, cfg)
+    op = _Quadrature(p.grid, K1_WEIGHTS)
     return Profile(grid=p.grid, values=_apply(p, op), tail_right=0.0, tail_left=0.0)
 
 

@@ -44,6 +44,9 @@ SIGN_RAMP_HALF_WIDTH = 1.2
 #: Deltas below this are treated as exactly saturated by the decay fit.
 _DECAY_FLOOR = 1e-15
 
+#: Spacing of the decay fit's cutoffs l0, l0 + step, ...
+_DECAY_STEP = 2.0
+
 
 @dataclass
 class SolveConfig:
@@ -185,19 +188,20 @@ def _mix(a, b, omega: float):
     return (1.0 - omega) * a + omega * b
 
 
-def iterate_once(p: Profile, cfg_solve: SolveConfig, family: KernelFamily,
+def iterate_once(p: Profile, cfg_solve: SolveConfig,
                  cfg_op: OperatorConfig = OperatorConfig()) -> Profile:
-    """One damped step on the odd projection of p: mix it with its image."""
+    """One damped step on the odd projection of p: mix it with its image
+    under the map at q = cfg_solve.q."""
     u, tau = _odd_half(p)
-    image, image_tau, _ = _step(build_operator(p.grid, family, cfg_op), u, tau)
+    op = build_operator(p.grid, KernelFamily(cfg_solve.q), cfg_op)
+    image, image_tau, _ = _step(op, u, tau)
     omega = cfg_solve.damping
     return _odd_profile(p.grid, _mix(u, image, omega), _mix(tau, image_tau, omega))
 
 
 def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
           cfg_op: OperatorConfig = OperatorConfig(),
-          initial: Profile | None = None,
-          assert_cone_each_iteration: bool = False) -> SolveReport:
+          initial: Profile | None = None) -> SolveReport:
     """Iterate the map until the residual meets tol or max_iter is spent.
 
     The start (`initial`, used for warm starts, or the configured guess) is
@@ -205,15 +209,12 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     another grid than `grid` or when its tails are not opposite.  The
     default undamped iteration falls back to half damping when the residual
     has grown five steps in a row, and records that as an event.
-    `assert_cone_each_iteration` raises if any iterate of a run started in
-    the cone escapes it.
     """
-    family = KernelFamily(cfg_solve.q)
     if initial is None:
         initial = initial_guess(cfg_solve.init, grid, ledger, cfg_solve.init_path)
     _check_grid(initial, grid)
     u, tau = _odd_half(initial)
-    op = build_operator(grid, family, cfg_op)
+    op = build_operator(grid, KernelFamily(cfg_solve.q), cfg_op)
 
     omega = cfg_solve.damping
     trace: list[float] = []
@@ -237,15 +238,11 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
         else:
             growth_streak = 0
         u, tau = _mix(u, image, omega), _mix(tau, image_tau, omega)
-        if assert_cone_each_iteration and not check_cone(
-                _odd_profile(grid, u, tau), ledger).member:
-            raise AssertionError(
-                f"iterate {len(trace)} left the cone at q = {cfg_solve.q}")
 
     p = _odd_profile(grid, u, tau)
     decay = None
     if converged and tau == 1.0:
-        decay = decay_diagnostic(p, family, ledger, l0=2.0).ratio
+        decay = decay_diagnostic(p, ledger, l0=2.0).ratio
     return SolveReport(
         converged=converged,
         iterations=len(trace),
@@ -260,13 +257,13 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     )
 
 
-def decay_diagnostic(p: Profile, family: KernelFamily, ledger: ConstantsLedger,
-                     l0: float, delta: float = 2.0) -> DecayDiagnostic:
+def decay_diagnostic(p: Profile, ledger: ConstantsLedger,
+                     l0: float) -> DecayDiagnostic:
     """Geometric decay rate of sup_{x > l} |1 - p(x)| over growing cutoffs.
 
-    Returns the fitted ratio of successive defects for cutoffs l0, l0+delta,
-    ...; for a solution the ratio must fall below 1, and is compared against
-    the square root of the cube-root contraction factor at
+    Returns the fitted ratio of successive defects for cutoffs l0,
+    l0 + _DECAY_STEP, ...; for a solution the ratio must fall below 1, and
+    is compared against the square root of the cube-root contraction factor at
     D1 = (1/2) c2 psi(l0).  Degenerate (ratio 0, flag set) when the profile
     is already saturated at +-1 beyond l0.
     """
@@ -285,7 +282,7 @@ def decay_diagnostic(p: Profile, family: KernelFamily, ledger: ConstantsLedger,
         dval = max(dval, abs(1.0 - p.tail_right))
         cutoffs.append(cut)
         deltas.append(dval)
-        cut += delta
+        cut += _DECAY_STEP
 
     live = [d for d in deltas if d > _DECAY_FLOOR]
     if not live or deltas[0] <= _DECAY_FLOOR:

@@ -13,13 +13,14 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from kinksolve.cone import (
+    c5_bound,
     check_cone,
     check_preservation,
     compute_constants,
     random_cone_members,
 )
 from kinksolve.grid import make_grid, odd_defect, sample, sup_distance
-from kinksolve.kernels import KernelFamily, eval_k1, eval_kq, fourier_symbol, kq_sign_change
+from kinksolve.kernels import KernelFamily, eval_k1, eval_kq, fourier_symbol, sign_change
 from kinksolve.operators import (
     OperatorConfig,
     apply_t0,
@@ -74,7 +75,7 @@ def test_criterion_2_kernel_mass():
     worst = 0.0
     for q in (0.0, 0.25, 0.5, 1.0):
         fam = KernelFamily(q)
-        root = kq_sign_change(fam)
+        root = sign_change(fam.weights)
         pts = [root] if root is not None and root < 14.0 else None
         mass, _ = quad(lambda u: eval_kq(u, fam), -14.0, 14.0,
                        points=pts, epsabs=1e-13, limit=200)
@@ -98,7 +99,7 @@ def test_criterion_3_constants_ledger(grid):
     assert fresh.c3 ** (1 / 3) * fresh.ell * fresh.c2 ** (1 / 3) >= fresh.c2
     assert fresh.c2 * 0.5 < 1.0
     assert fresh.c4 * fresh.q0**2 < fresh.c3 * fresh.c2
-    assert np.all((fresh.c5_values > 0.0) & (fresh.c5_values < 1.0))
+    assert all(0.0 < v < 1.0 for v in fresh.to_json_dict()["c5"]["values"])
     assert fresh.q0 > 0.0
 
     elapsed = time.perf_counter() - started
@@ -150,9 +151,9 @@ def test_criterion_5_existence_reproduction(grid, ledger):
 
 def test_criterion_6_boundary_decay(solve_q0, ledger):
     started = time.perf_counter()
-    diag = decay_diagnostic(solve_q0.solution, KernelFamily(0.0), ledger, l0=2.0)
+    diag = decay_diagnostic(solve_q0.solution, ledger, l0=2.0)
     d1 = 0.5 * ledger.c2 * psi(2.0)
-    bound = math.sqrt(ledger.c5(d1)) + 0.1
+    bound = math.sqrt(c5_bound(d1)) + 0.1
     assert not diag.degenerate
     assert diag.ratio < 1.0
     assert diag.ratio <= bound

@@ -65,8 +65,20 @@ def test_constants_ledger_invariants(ledger):
     assert ledger.c3 ** (1 / 3) * ledger.ell * ledger.c2 ** (1 / 3) >= ledger.c2
     assert ledger.c2 * 0.5 < 1.0
     assert ledger.c4 * ledger.q0**2 < ledger.c3 * ledger.c2
-    assert np.all((ledger.c5_values > 0.0) & (ledger.c5_values < 1.0))
+    assert all(0.0 < v < 1.0 for v in ledger.to_json_dict()["c5"]["values"])
     validate_ledger(ledger)
+
+
+def test_default_ledger_pinned_bits(ledger):
+    # make_grid(20, 0.05) at q_max = 1, every field to the last bit
+    pinned = {
+        "b": "0x1.244f13d469b8cp+0", "c0": "0x1.118d7d7b49558p+0",
+        "e": "0x1.e0b877c263702p-1", "c_hat": "0x1.965fea53d6e3cp+0",
+        "c1": "0x1.96d1a9c27f6f5p+0", "c3": "0x1.c9f25c5bfedd9p-3",
+        "c4": "0x1.5fd1016906098p+1", "ell": "0x1.965fea53d6e3cp+0",
+        "c2": "0x1.e4383e8243121p-1", "q0": "0x1.193274c0c020dp-2",
+    }
+    assert {k: float(getattr(ledger, k)).hex() for k in pinned} == pinned
 
 
 def test_c4_bound_components(ledger):
@@ -88,10 +100,12 @@ def test_ramp_cube_root_bound(default_grid, ledger):
 
 
 def test_c5_tabulation(ledger):
-    assert len(ledger.c5_grid) == 19
-    assert ledger.c5_grid[0] == pytest.approx(0.05)
-    assert ledger.c5_grid[-1] == pytest.approx(0.95)
-    assert ledger.c5(0.25) == pytest.approx(0.8399473665965821, rel=1e-12)
+    table = ledger.to_json_dict()["c5"]
+    assert len(table["grid"]) == 19
+    assert table["grid"][0] == pytest.approx(0.05)
+    assert table["grid"][-1] == pytest.approx(0.95)
+    assert table["values"] == [c5_bound(d) for d in table["grid"]]
+    assert c5_bound(0.25) == pytest.approx(0.8399473665965821, rel=1e-12)
     assert c5_bound(0.25) == pytest.approx(min(1.0, (1.0 / 3.0) * 0.25 ** (-2 / 3)),
                                            abs=1e-9)
 
@@ -117,8 +131,7 @@ def test_validate_ledger_rejects_doctored_values(ledger):
     bad = ConstantsLedger(b=ledger.b, c0=ledger.c0, e=ledger.e,
                           c_hat=ledger.c_hat, c1=ledger.c1, c3=ledger.c3,
                           c4=ledger.c4, ell=ledger.ell, c2=ledger.c2,
-                          q0=10.0,  # far beyond the admissible bound
-                          c5_grid=ledger.c5_grid, c5_values=ledger.c5_values)
+                          q0=10.0)  # far beyond the admissible bound
     with pytest.raises(LedgerInvariantError):
         validate_ledger(bad)
 
@@ -129,7 +142,7 @@ def test_ledger_json_round_trip(ledger, tmp_path):
     back = ConstantsLedger.from_json_dict(json.loads(path.read_text()))
     assert back.b == ledger.b
     assert back.q0 == ledger.q0
-    assert np.all(back.c5_values == ledger.c5_values)
+    assert back.to_json_dict() == ledger.to_json_dict()
     validate_ledger(back)
 
 

@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,20 +13,20 @@ from scipy.special import erf, erfc
 
 import kinksolve
 from kinksolve.kernels import (
+    K0_WEIGHTS,
+    K1_WEIGHTS,
     KernelFamily,
     abs_mass_above,
     eval_k0,
-    eval_k0_derivative,
     eval_k1,
-    eval_k1_derivative,
+    eval_kernel_derivative,
     eval_kq,
     eval_kq_derivative,
     fourier_symbol,
-    k1_cumulative,
+    kernel_cumulative,
     kq_abs_mass,
     kq_derivative_abs_mass,
-    kq_derivative_sign_change,
-    kq_sign_change,
+    sign_change,
     tail_mass,
 )
 
@@ -122,11 +123,11 @@ def test_kq_peak_at_q1():
 def test_kq_negative_beyond_sign_change():
     for q in [0.3, 0.7, 1.0]:
         fam = KernelFamily(q)
-        root = kq_sign_change(fam)
+        root = sign_change(fam.weights)
         assert root == pytest.approx(math.sqrt(4.0 / q**2 + 2.0), rel=1e-14)
         assert eval_kq(root * 1.1, fam) < 0.0
         assert eval_kq(root * 0.9, fam) > 0.0
-        droot = kq_derivative_sign_change(fam)
+        droot = sign_change(fam.weights, derivative=True)
         assert droot == pytest.approx(math.sqrt(4.0 / q**2 + 6.0), rel=1e-14)
         assert eval_kq_derivative(droot * 1.1, fam) > 0.0
         assert eval_kq_derivative(droot * 0.9, fam) < 0.0
@@ -151,15 +152,16 @@ def test_k0_derivative_formula():
     for u in [0.4, 1.7, -2.2]:
         assert eval_kq_derivative(u, KernelFamily(0.0)) == pytest.approx(
             -0.5 * u * eval_k0(u), rel=1e-15)
-        assert eval_k0_derivative(u) == eval_kq_derivative(u, KernelFamily(0.0))
+        assert eval_kernel_derivative(u, K0_WEIGHTS) == eval_kq_derivative(
+            u, KernelFamily(0.0))
 
 
 def test_k0_derivative_abs_mass():
     # |K0'| integrates to twice the peak: 1/sqrt(pi)
     val = kq_derivative_abs_mass(KernelFamily(0.0))
     assert val == pytest.approx(1.0 / SQRT_PI, abs=1e-12)
-    assert val == pytest.approx(riemann(lambda u: np.abs(eval_k0_derivative(u))),
-                                abs=1e-9)
+    assert val == pytest.approx(
+        riemann(lambda u: np.abs(eval_kernel_derivative(u, K0_WEIGHTS))), abs=1e-9)
 
 
 @given(st.floats(min_value=-8, max_value=8), st.floats(min_value=0, max_value=1.5))
@@ -240,8 +242,8 @@ def test_masses_finite_when_q_squared_underflows(q):
     # q^2 is subnormal (1e-158) or exactly 0 (1e-200): the sign changes lie
     # where the kernel has underflowed, so they are reported as absent
     fam = KernelFamily(q)
-    assert kq_sign_change(fam) is None
-    assert kq_derivative_sign_change(fam) is None
+    assert sign_change(fam.weights) is None
+    assert sign_change(fam.weights, derivative=True) is None
     assert kq_abs_mass(fam) == 1.0
     assert kq_derivative_abs_mass(fam) == 1.0 / SQRT_PI
 
@@ -261,9 +263,9 @@ def test_kernel_norms_closed_form_at_q1():
 @pytest.mark.parametrize("q", [*np.linspace(0.0, 1.0, 101), 2.0, 5.0])
 def test_abs_masses_match_quadrature_oracle(q):
     fam = KernelFamily(q)
-    a = quad_abs_mass(lambda u: eval_kq(u, fam), [kq_sign_change(fam)])
+    a = quad_abs_mass(lambda u: eval_kq(u, fam), [sign_change(fam.weights)])
     e = quad_abs_mass(lambda u: eval_kq_derivative(u, fam),
-                      [kq_derivative_sign_change(fam)])
+                      [sign_change(fam.weights, derivative=True)])
     assert abs(kq_abs_mass(fam) - a) <= 1e-13
     assert abs(kq_derivative_abs_mass(fam) - e) <= 1e-13
 
@@ -271,13 +273,33 @@ def test_abs_masses_match_quadrature_oracle(q):
 def test_k1_abs_masses_match_quadrature_oracle(ledger):
     # the two K1 masses behind c4, as the ledger computes them
     k1_mass = quad_abs_mass(eval_k1, [math.sqrt(2.0)])
-    k1_deriv_mass = quad_abs_mass(eval_k1_derivative, [math.sqrt(6.0)])
-    assert abs(2.0 * abs_mass_above(k1_cumulative, math.sqrt(2.0)) - k1_mass) <= 1e-13
-    assert abs(2.0 * abs_mass_above(eval_k1, math.sqrt(6.0)) - k1_deriv_mass) <= 1e-13
+    k1_deriv_mass = quad_abs_mass(lambda u: eval_kernel_derivative(u, K1_WEIGHTS),
+                                  [math.sqrt(6.0)])
+    assert abs(2.0 * abs_mass_above(0.0, K1_WEIGHTS) - k1_mass) <= 1e-13
+    assert abs(2.0 * abs_mass_above(0.0, K1_WEIGHTS, derivative=True)
+               - k1_deriv_mass) <= 1e-13
     slope_inf = math.exp(-1.0) / SQRT_PI
     level_inf = float(erf(1.0)) / 2.0
     c4 = max(ledger.c0 * k1_deriv_mass / slope_inf, ledger.c0 * k1_mass / level_inf)
     assert ledger.c4 == pytest.approx(c4, rel=1e-13)
+
+
+def test_src_modules_read_every_import():
+    # a module of the package reads every name it imports; __init__.py
+    # imports in order to re-export
+    package = Path(kinksolve.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= read, (path.name, sorted(imported - read))
 
 
 def test_src_does_not_import_scipy_integrate():
@@ -328,6 +350,68 @@ def test_kernel_norms_validation():
     assert math.isfinite(kq_derivative_abs_mass(fam))
 
 
+@pytest.mark.parametrize("q", [0.0, 0.3, 1.0, 2.0, 1e3])
+def test_weighted_evaluators_match_separate_formulas(q):
+    # the formulas as they were written out per kernel before they were
+    # written once over the weights (a, b): with weights 0 and 1 every sum
+    # and product rounds alike, so the values agree to the bit, roots included
+    q2 = q * q
+    fam = KernelFamily(q)
+    roots = [math.sqrt(2.0), math.sqrt(6.0)]
+    if q2:
+        roots += [math.sqrt(4.0 / q2 + 2.0), math.sqrt(4.0 / q2 + 6.0)]
+    u = np.concatenate([np.linspace(-30.0, 30.0, 6001), roots, np.negative(roots)])
+    g = (1.0 / (2.0 * SQRT_PI)) * np.exp(-0.25 * u * u)
+    pairs = [
+        (eval_k0(u), g),
+        (eval_k1(u), (0.5 - 0.25 * u * u) * g),
+        (eval_kq(u, fam), (1.0 + q2 * (0.5 - 0.25 * u * u)) * g),
+        (eval_kernel_derivative(u, K0_WEIGHTS), -0.5 * u * g),
+        (eval_kernel_derivative(u, K1_WEIGHTS), -0.5 * u * (1.5 - 0.25 * u * u) * g),
+        (eval_kq_derivative(u, fam), -0.5 * u * (1.0 + q2 * (1.5 - 0.25 * u * u)) * g),
+        (kernel_cumulative(u, K1_WEIGHTS), 0.5 * u * g),
+        (kernel_cumulative(u, fam.weights), 0.5 * erfc(-0.5 * u) + q2 * 0.5 * u * g),
+        (fourier_symbol(u, fam), (1.0 + q2 * u * u) * np.exp(-u * u)),
+    ]
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+    assert sign_change(K1_WEIGHTS) == math.sqrt(2.0)
+    assert sign_change(K1_WEIGHTS, derivative=True) == math.sqrt(6.0)
+    assert sign_change(K0_WEIGHTS) is None
+    if q2:
+        assert sign_change(fam.weights) == math.sqrt(4.0 / q2 + 2.0)
+        assert sign_change(fam.weights, derivative=True) == math.sqrt(4.0 / q2 + 6.0)
+
+
+#: Each quantity far from the origin, with the limit it must return there.
+FAR_LIMITS = {
+    "value": (eval_kq, lambda u, a: 0.0),
+    "derivative": (eval_kq_derivative, lambda u, a: 0.0),
+    "antiderivative": (lambda u, fam: kernel_cumulative(u, fam.weights),
+                       lambda u, a: a if u > 0.0 else 0.0),
+    "symbol": (fourier_symbol, lambda u, a: 0.0),
+    "k1": (lambda u, fam: eval_k1(u), lambda u, a: 0.0),
+    "k1_antiderivative": (lambda u, fam: kernel_cumulative(u, K1_WEIGHTS),
+                          lambda u, a: 0.0),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(FAR_LIMITS))
+@pytest.mark.parametrize("q", [0.0, 1.0])
+@pytest.mark.parametrize("u", [1e200, -1e200, math.inf, -math.inf])
+def test_kernel_quantities_take_exact_limits_far_out(u, q, quantity):
+    # the polynomial factor overflows where the Gaussian underflows to 0:
+    # the exact limit comes back, with no warning, for scalars and arrays
+    evaluate, limit = FAR_LIMITS[quantity]
+    fam = KernelFamily(q)
+    want = limit(u, fam.weights[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(u, fam) == want
+        got = evaluate(np.array([u, 1.5]), fam)
+    assert np.array_equal(got, [want, evaluate(1.5, fam)])
+
+
 def test_unit_mass_for_all_q():
     for q in [0.0, 0.25, 0.5, 1.0]:
         fam = KernelFamily(q)
@@ -338,7 +422,7 @@ def test_k1_cumulative_signed_formula():
     # antiderivative of K1 is -(K0)'(t) = (t/2) K0(t); check by quadrature
     for t in [-1.0, 0.0, 0.8, 2.5]:
         u = np.linspace(-16.0, t, 1_600_001)
-        assert k1_cumulative(t) == pytest.approx(
+        assert kernel_cumulative(t, K1_WEIGHTS) == pytest.approx(
             float(np.trapezoid(eval_k1(u), u)), abs=1e-10)
 
 

@@ -105,18 +105,38 @@ def signed_cube_root(y):
     return float(out) if out.ndim == 0 else out
 
 
+def _smooth_length(n: int) -> int:
+    """Least 2^a 3^b 5^c >= n: the lengths at which the FFT is fast."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            length = odd
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        five *= 5
+    return best
+
+
 class _Quadrature:
     """Trapezoidal convolution over |x - y| <= window plus the exact remainder.
 
     The half-line samples are extended by reflection and, beyond the
     truncation, by the tail constants, so the integrand decays to kernel
     level (< 1e-16 at the window of 12) at both ends of every node's
-    window and the trapezoid rule converges superalgebraically.  One direct
-    convolution of that extension, started at node 1 - m (odd) or -m (even),
-    yields exactly the wanted outputs.  The kernel is a K0 + b K1 with
-    weights (a, b); the mass outside the window is added in closed form
-    through its cumulative integral C and total mass a:
-    tail_right (a - C(w)) + tail_left C(-w).
+    window and the trapezoid rule converges superalgebraically.  The
+    'valid' convolution of that extension with the kernel row, started at
+    node 1 - m (odd) or -m (even), yields exactly the wanted outputs.  It
+    is taken as a product of spectra: the spectrum of h * row is computed
+    once, at a 5-smooth length N >= M + 2m + 1, and each application costs
+    one rfft/irfft pair of length N.  N is at least the extension's length,
+    so the circular convolution has no wrap-around on the outputs 2m ..
+    2m + k - 1 it keeps.  The kernel is a K0 + b K1 with weights (a, b); the
+    mass outside the window is added in closed form through its cumulative
+    integral C and total mass a: tail_right (a - C(w)) + tail_left C(-w).
 
     Profiles are assumed continuous at the truncation; a mismatch between
     the edge samples and the tails contributes O(spacing * mismatch) error
@@ -147,8 +167,10 @@ class _Quadrature:
     def __init__(self, grid: GridSpec, weights: tuple[float, float]) -> None:
         h = grid.spacing
         m = int(round(OperatorConfig.kernel_window / h))
-        self.h, self.m = h, m
-        self.row = eval_kernel(np.arange(-m, m + 1) * h, weights)
+        self.m = m
+        self.n_fft = _smooth_length(grid.center_index + 2 * m + 1)
+        row = eval_kernel(np.arange(-m, m + 1) * h, weights)
+        self.spectrum = np.fft.rfft(h * row, self.n_fft)
         right = weights[0] - kernel_cumulative(m * h, weights)
         left = kernel_cumulative(-m * h, weights)
         self.odd_remainder = right - left
@@ -157,11 +179,17 @@ class _Quadrature:
         self.cusp = (2.0 * _ZETA_M43 * h * h / c) * eval_kernel_derivative(
             grid.x[grid.center_index + 1:], weights)
 
+    def _convolve(self, ext: np.ndarray, k: int) -> np.ndarray:
+        """The k 'valid' outputs of the convolution of ext with h * row."""
+        n = self.n_fft
+        full = np.fft.irfft(np.fft.rfft(ext, n) * self.spectrum, n)
+        return full[2 * self.m:2 * self.m + k]
+
     def __call__(self, u: np.ndarray, tau: float) -> np.ndarray:
         """Image on the positive nodes of the odd profile (u, tau)."""
         tail = np.full(self.m, tau)
         ext = np.concatenate([-tail, -u[::-1], [0.0], u, tail])[len(u) + 1:]
-        out = self.h * np.convolve(ext, self.row, mode="valid")
+        out = self._convolve(ext, len(u))
         out += tau * self.odd_remainder
         out += (5.0 * u[0] - 4.0 * u[1] + u[2]) * self.cusp
         return out
@@ -170,7 +198,7 @@ class _Quadrature:
         """Image on nodes 0..M of the even profile with values e there."""
         pad = np.full(self.m, tail)
         ext = np.concatenate([pad, e[:0:-1], e, pad])[len(e) - 1:]
-        return self.h * np.convolve(ext, self.row, mode="valid") + tail * self.even_remainder
+        return self._convolve(ext, len(e)) + tail * self.even_remainder
 
 
 class _Spectral:
@@ -224,7 +252,8 @@ def build_operator(grid: GridSpec, family: KernelFamily,
 
     Calling the result with the values u on the positive nodes and the
     right tail tau returns T_q Phi on those nodes.  The quadrature kernel
-    row is the combined K_q = K0 + q^2 K1, so one convolution serves every q.
+    row is the combined K_q = K0 + q^2 K1, so an application costs one
+    spectrum product at every q.
     """
     if cfg.method == "spectral":
         return _Spectral(grid, family)

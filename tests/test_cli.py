@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kinksolve.cli import main
-from kinksolve.grid import profile_from_csv
+from kinksolve.grid import Profile, profile_from_csv
 
 
 @pytest.fixture()
@@ -156,6 +156,34 @@ def test_verify_across_admissible_range(workdir):
         code = main(["verify", "--q", str(q), "--seed", "42", "--trials", "5",
                      "--out", f"verify_{q:.4f}.json"])
         assert code == 0
+
+
+def test_verify_reports_nonmember_draw(workdir, capsys, monkeypatch):
+    # a non-member draw is one FAIL row and exit 3, not a usage error;
+    # the members still go through the map and the JSON is written
+    from kinksolve import cli
+
+    draw = cli.random_cone_members
+
+    def with_nonmember(n, grid, ledger, seed=42):
+        members = draw(n, grid, ledger, seed=seed)
+        big = 2.0 * ledger.c0
+        members[0] = Profile(grid=grid, values=big * np.sign(grid.x),
+                             tail_right=big, tail_left=-big)
+        return members
+
+    monkeypatch.setattr(cli, "random_cone_members", with_nonmember)
+    code = main(["verify", "--q", "0", "--seed", "42", "--trials", "5",
+                 "--out", "verify.json"])
+    assert code == 3
+    assert capsys.readouterr().out.count("FAIL") == 1
+    rows = {r["check"]: r for r in json.loads((workdir / "verify.json").read_text())}
+    membership = rows["cone membership of 5 draws"]
+    assert (membership["measured"], membership["pass"]) == (4.0, False)
+    preservation = rows["cone preservation at q=0.0000"]
+    assert (preservation["measured"], preservation["threshold"]) == (4.0, 4.0)
+    assert preservation["pass"]
+    assert (workdir / "verify.json.manifest.json").exists()
 
 
 def test_scan_command(workdir):

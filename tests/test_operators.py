@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from kinksolve.grid import Profile, odd_defect, sample, sup_distance, sup_norm
-from kinksolve.kernels import KernelFamily
+from kinksolve.grid import Profile, make_grid, odd_defect, sample, sup_distance, sup_norm
+from kinksolve.kernels import K1_WEIGHTS, KernelFamily, eval_kernel
 from kinksolve.operators import (
     OperatorConfig,
+    _Quadrature,
+    _smooth_length,
     apply_pq,
     apply_t0,
     apply_t1,
@@ -217,6 +219,47 @@ def test_half_line_operator_is_positive_half_of_tq(default_grid, method):
         op = build_operator(default_grid, KernelFamily(q), cfg)
         half = op(p.values[c + 1:], p.tail_right)
         assert np.array_equal(half, apply_tq(p, KernelFamily(q), cfg).values[c + 1:])
+
+
+def _is_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_smooth_length_is_least_5_smooth_above():
+    for n in range(1, 5001):
+        least = n
+        while not _is_smooth(least):
+            least += 1
+        assert _smooth_length(n) == least, n
+
+
+# (5, 0.5): the window 2m + 1 = 49 is wider than the grid; (20, 0.025):
+# M + 2m + 1 = 1761 = 3 * 587, so the FFT length is padded beyond it
+@pytest.mark.parametrize("half_width, spacing",
+                         [(5.0, 0.5), (20.0, 0.05), (20.0, 0.025), (40.0, 0.0125)])
+@pytest.mark.parametrize("weights", [(1.0, 0.25), K1_WEIGHTS])
+def test_quadrature_spectrum_matches_direct_convolution(half_width, spacing, weights):
+    # oracle: the direct 'valid' convolution of the same extensions
+    grid = make_grid(half_width, spacing)
+    op = _Quadrature(grid, weights)
+    h, m, c = spacing, op.m, grid.center_index
+    assert op.n_fft >= c + 2 * m + 1
+    row = eval_kernel(np.arange(-m, m + 1) * h, weights)
+    x = grid.x[c:]
+    u, tau = np.cbrt(np.tanh(x[1:])) + 0.05 * np.sin(3.0 * x[1:]), 1.0
+    tail = np.full(m, tau)
+    ext = np.concatenate([-tail, -u[::-1], [0.0], u, tail])[len(u) + 1:]
+    odd = (h * np.convolve(ext, row, "valid") + tau * op.odd_remainder
+           + (5.0 * u[0] - 4.0 * u[1] + u[2]) * op.cusp)
+    assert np.max(np.abs(op(u, tau) - odd)) <= 1e-13
+    e, tail_even = np.exp(-x * x) + 0.5, 0.5
+    pad = np.full(m, tail_even)
+    ext = np.concatenate([pad, e[:0:-1], e, pad])[len(e) - 1:]
+    even = h * np.convolve(ext, row, "valid") + tail_even * op.even_remainder
+    assert np.max(np.abs(op.even(e, tail_even) - even)) <= 1e-13
 
 
 def test_pq_tail_mapping(default_grid):

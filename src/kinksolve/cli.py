@@ -7,21 +7,23 @@ Exit codes are a stable scripting contract:
     2  solver failed to converge
     3  a constants-ledger invariant failed
 
-Every command writes a run manifest next to its primary output; re-running
-with the manifest's parameters reproduces the outputs bit for bit on the
-same platform math library.
+Every command writes a run manifest next to its primary output, with the
+Python, numpy and scipy versions and the platform; re-running with its
+parameters reproduces the outputs bit for bit in that environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .cone import (
@@ -60,6 +62,7 @@ class RunManifest:
     version: str
     wall_time_seconds: float
     outputs: list[str]
+    environment: dict
 
     def write(self, path: Path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -70,9 +73,11 @@ class RunManifest:
 def _write_manifest(command: str, params: dict, outputs: list[str],
                     started: float) -> None:
     anchor = Path(outputs[0]) if outputs else Path(f"{command}.out")
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "scipy": scipy.__version__, "platform": platform.platform()}
     manifest = RunManifest(command=command, parameters=params, version=__version__,
                            wall_time_seconds=time.time() - started,
-                           outputs=[str(o) for o in outputs])
+                           outputs=[str(o) for o in outputs], environment=environment)
     manifest.write(anchor.with_name(anchor.name + ".manifest.json"))
 
 

@@ -56,13 +56,6 @@ MEMBERSHIP_SLACK = 1e-10
 #: Antisymmetry defect tolerated by the oddness check.
 ODD_TOL = 1e-12
 
-#: Node pairs closer than this are checked exhaustively by the modulus
-#: condition; FAR_PAIRS more distant pairs are sampled randomly, from a
-#: generator seeded with FAR_PAIR_SEED.
-NEAR_PAIR_RANGE = 2.0
-FAR_PAIRS = 10000
-FAR_PAIR_SEED = 42
-
 #: Arguments d of the cube-root contraction factor tabulated in the JSON ledger.
 _C5_GRID = np.round(np.arange(0.05, 0.951, 0.05), 10)
 
@@ -205,32 +198,46 @@ def validate_ledger(ledger: ConstantsLedger) -> None:
         raise LedgerInvariantError("q0 must be strictly positive")
 
 
+def _holder_ratio(v: np.ndarray, h: float) -> float:
+    """max over node pairs i < j of |v_j - v_i| / ((j - i) h)^(1/3), exactly.
+
+    Lags go in dyadic blocks [w, 2w).  hi and lo, built by doubling, hold the
+    max and min of v on each start's window v[i : i + 2w], which holds all its
+    partners in the block, so only starts reaching beyond worst (w h)^(1/3)
+    are gathered, 2^14 elements (or one start) at a time to keep memory
+    flat.  Once the range of v is within that bound, no longer lag can win.
+    """
+    n, worst, w = len(v), 0.0, 1
+    hi, lo, span = v.copy(), v.copy(), float(v.max() - v.min())
+    while w < n and span > worst * (w * h) ** (1.0 / 3.0):
+        hi[:-w], lo[:-w] = np.maximum(hi[:-w], hi[w:]), np.minimum(lo[:-w], lo[w:])
+        reach = np.maximum(hi - v, v - lo)[:n - w]
+        starts = np.flatnonzero(reach > worst * (w * h) ** (1.0 / 3.0))
+        lags = np.arange(w, 2 * w)
+        scale = (lags * h) ** (1.0 / 3.0)
+        rows = max(1, (1 << 14) // w)
+        for k in range(0, len(starts), rows):
+            i = starts[k:k + rows, None]
+            j = np.minimum(i + lags, n - 1)  # a clamped partner sits at a longer lag
+            worst = max(worst, float(np.max(np.abs(v[j] - v[i]) / scale)))
+        w *= 2
+    return worst
+
+
 def check_cone(p: Profile, ledger: ConstantsLedger) -> ConeReport:
     """Evaluate the four cone-membership conditions on the grid nodes.
 
-    The modulus condition is checked exhaustively over all node pairs within
-    NEAR_PAIR_RANGE (the ratio peaks at short range for one-third-power
-    moduli) plus FAR_PAIRS seeded random distant pairs.
+    The modulus ratio is the exact maximum over all node pairs.  It need not
+    peak at short range: the sign start's worst pair is (-1.2, 1.2), and a
+    profile can break the bound only between far-apart nodes.
     """
     g = p.grid
     v = p.values
-    h = g.spacing
 
     sup_value = sup_norm(p)
     is_bounded = sup_value <= ledger.c0 + MEMBERSHIP_SLACK
 
-    worst = 0.0
-    max_lag = min(int(round(NEAR_PAIR_RANGE / h)), g.n_points - 1)
-    for lag in range(1, max_lag + 1):
-        diff = np.max(np.abs(v[lag:] - v[:-lag]))
-        worst = max(worst, diff / (lag * h) ** (1.0 / 3.0))
-    rng = np.random.default_rng(FAR_PAIR_SEED)
-    i = rng.integers(0, g.n_points, size=FAR_PAIRS)
-    j = rng.integers(0, g.n_points, size=FAR_PAIRS)
-    keep = np.abs(i - j) > max_lag
-    if np.any(keep):
-        dist = (np.abs(i[keep] - j[keep]) * h) ** (1.0 / 3.0)
-        worst = max(worst, float(np.max(np.abs(v[i[keep]] - v[j[keep]]) / dist)))
+    worst = _holder_ratio(v, g.spacing)
     is_holder = worst <= ledger.c1 + MEMBERSHIP_SLACK
 
     defect = odd_defect(p)

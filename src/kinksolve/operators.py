@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -246,6 +247,7 @@ class _Spectral:
         return np.append(0.5 * (img[c:] + img[c:0:-1]), img[0]) + tail
 
 
+@lru_cache(maxsize=8)
 def build_operator(grid: GridSpec, family: KernelFamily,
                    cfg: OperatorConfig = OperatorConfig()):
     """T_q on odd profiles, built once per (grid, q, cfg).
@@ -253,7 +255,8 @@ def build_operator(grid: GridSpec, family: KernelFamily,
     Calling the result with the values u on the positive nodes and the
     right tail tau returns T_q Phi on those nodes.  The quadrature kernel
     row is the combined K_q = K0 + q^2 K1, so an application costs one
-    spectrum product at every q.
+    spectrum product at every q.  Recent builds are memoised (the arguments
+    are frozen) and shared, so callers only read them.
     """
     if cfg.method == "spectral":
         return _Spectral(grid, family)

@@ -1,8 +1,10 @@
 import json
+import platform
 import time
 
 import numpy as np
 import pytest
+import scipy
 
 from kinksolve.cli import main
 from kinksolve.grid import Profile, profile_from_csv
@@ -37,6 +39,10 @@ def test_solve_default_writes_csv_and_manifest(workdir, ledger_file):
     assert manifest["command"] == "solve"
     assert manifest["parameters"]["q"] == 0.0
     assert "sol.csv" in manifest["outputs"][0]
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+    assert env["platform"] == platform.platform()
 
     report = json.loads((workdir / "sol.csv.report.json").read_text())
     assert report["converged"] is True

@@ -8,6 +8,7 @@ from scipy.special import erf
 from kinksolve.cone import (
     ConstantsLedger,
     LedgerInvariantError,
+    _holder_ratio,
     c5_bound,
     check_cone,
     check_preservation,
@@ -15,9 +16,10 @@ from kinksolve.cone import (
     random_cone_members,
     validate_ledger,
 )
-from kinksolve.grid import Profile, sample
+from kinksolve.grid import GridSpec, Profile, sample
 from kinksolve.kernels import KernelFamily, kq_abs_mass, kq_derivative_abs_mass
 from kinksolve.operators import psi, t0_psi_analytic
+from kinksolve.solver import initial_guess
 
 
 def test_cube_root_holder_constant_closed_form(ledger):
@@ -246,3 +248,73 @@ def test_constants_take_suprema_at_q_max(default_grid, q_max):
 def test_constants_rejects_nonpositive_q_range(default_grid, q_max):
     with pytest.raises(ValueError, match="q_range_max"):
         compute_constants(default_grid, q_range_max=q_max)
+
+
+def _all_pairs_ratio(v, h):
+    # O(n^2) oracle: the largest |v_j - v_i| at each lag over its distance^(1/3)
+    best = 0.0
+    for lag in range(1, len(v)):
+        best = max(best, np.max(np.abs(v[lag:] - v[:-lag])) / (lag * h) ** (1.0 / 3.0))
+    return best
+
+
+def _assert_exact(ratio, v, h):
+    # the numpy and scalar cube roots of a distance may differ by one ulp
+    assert ratio == pytest.approx(_all_pairs_ratio(v, h), rel=4e-16, abs=0.0)
+
+
+@pytest.mark.parametrize("seed, kind", enumerate(["random", "cusp", "walk", "tanh"]))
+@pytest.mark.parametrize("h", [0.01, 0.05, 0.37])
+def test_holder_ratio_is_exact_over_all_pairs(ledger, seed, kind, h):
+    rng = np.random.default_rng([seed, int(100 * h)])
+    for _ in range(10):
+        m = int(rng.integers(1, 150))
+        grid = GridSpec(half_width=m * h, spacing=h, n_points=2 * m + 1)
+        x = grid.x
+        v = {"random": lambda: rng.normal(size=x.size),
+             "cusp": lambda: np.cbrt(x - x[rng.integers(x.size)]),
+             "walk": lambda: np.cumsum(rng.normal(size=x.size)),
+             "tanh": lambda: np.tanh(rng.uniform(0.1, 5.0) * x)}[kind]()
+        p = Profile(grid=grid, values=v, tail_right=v[-1], tail_left=v[0])
+        _assert_exact(check_cone(p, ledger).holder_ratio, v, h)
+        _assert_exact(_holder_ratio(v[1:], h), v[1:], h)  # an even node count
+
+
+def test_holder_ratio_of_starts_and_kink_is_exact(default_grid, ledger, kink_q0):
+    profiles = [initial_guess("erf", default_grid, ledger),
+                initial_guess("sign", default_grid, ledger), kink_q0.solution]
+    for p in profiles:
+        _assert_exact(check_cone(p, ledger).holder_ratio, p.values, default_grid.spacing)
+
+
+def test_holder_ratio_of_flat_and_tiny_grids(default_grid, ledger):
+    flat = Profile(grid=default_grid, values=np.zeros(default_grid.n_points),
+                   tail_right=0.0, tail_left=0.0)
+    assert check_cone(flat, ledger).holder_ratio == 0.0
+    two = np.array([0.25, -0.5])
+    _assert_exact(_holder_ratio(two, 0.2), two, 0.2)
+    assert _holder_ratio(np.array([0.3]), 0.2) == 0.0
+
+
+def test_sign_start_ratio_peaks_at_far_pair(default_grid, ledger):
+    # the ramp's ends (-1.2, 1.2) are 2.4 apart: 2 / 2.4^(1/3) = 1.4938
+    report = check_cone(initial_guess("sign", default_grid, ledger), ledger)
+    assert report.holder_ratio == pytest.approx(2.0 / 2.4 ** (1.0 / 3.0), rel=1e-15)
+    assert report.holder_ratio == pytest.approx(1.4938, abs=1e-4)
+
+
+def test_far_pair_modulus_violation_is_not_member(default_grid, ledger):
+    # odd: 0.999 |x|^(1/3) up to |x| = 1, linear up to P at |x| = 1.2, then
+    # P; only the far pair (-1.2, 1.2) breaks the bound: 2P / 2.4^(1/3)
+    x, top = default_grid.x, 1.0650
+    a = np.abs(x)
+    mag = np.where(a <= 1.0, 0.999 * np.cbrt(a),
+                   np.minimum(0.999 + (top - 0.999) * (a - 1.0) / 0.2, top))
+    p = Profile(grid=default_grid, values=np.sign(x) * mag,
+                tail_right=top, tail_left=-top)
+    report = check_cone(p, ledger)
+    assert report.holder_ratio == pytest.approx(2.0 * top / 2.4 ** (1.0 / 3.0), rel=1e-12)
+    assert report.holder_ratio == pytest.approx(1.59090, abs=1e-5)
+    assert ledger.c1 == pytest.approx(1.58914, abs=1e-5)
+    assert not report.is_holder and not report.member
+    assert report.is_bounded and report.is_odd and report.is_above_psi

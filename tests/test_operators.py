@@ -11,6 +11,7 @@ from kinksolve.kernels import K1_WEIGHTS, KernelFamily, eval_kernel
 from kinksolve.operators import (
     OperatorConfig,
     _Quadrature,
+    _apply,
     _smooth_length,
     apply_pq,
     apply_t0,
@@ -219,6 +220,21 @@ def test_half_line_operator_is_positive_half_of_tq(default_grid, method):
         op = build_operator(default_grid, KernelFamily(q), cfg)
         half = op(p.values[c + 1:], p.tail_right)
         assert np.array_equal(half, apply_tq(p, KernelFamily(q), cfg).values[c + 1:])
+
+
+@pytest.mark.parametrize("method", ["quadrature", "spectral"])
+def test_memoised_operator_images_match_fresh_build(default_grid, method):
+    # build_operator keeps recent operators; the uncached build is the oracle
+    p = sample(lambda x: np.cbrt(np.tanh(x)) + 0.1 * np.exp(-x * x), default_grid,
+               1.0, -1.0)
+    cfg = OperatorConfig(method)
+    for q in (0.0, 0.2):
+        family = KernelFamily(q)
+        assert build_operator(default_grid, family, cfg) is build_operator(
+            default_grid, family, cfg)
+        fresh = build_operator.__wrapped__(default_grid, family, cfg)
+        for _ in range(2):
+            assert np.array_equal(apply_tq(p, family, cfg).values, _apply(p, fresh))
 
 
 def _is_smooth(n):

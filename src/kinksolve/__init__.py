@@ -35,10 +35,7 @@ from .kernels import (
     KernelFamily,
     eval_k0,
     eval_k1,
-    eval_kq,
-    eval_kq_derivative,
     fourier_symbol,
-    tail_mass,
 )
 from .operators import (
     OperatorConfig,
@@ -70,8 +67,7 @@ __all__ = [
     "GridSpec", "Profile", "make_grid", "odd_defect", "profile_from_csv",
     "profile_from_json", "profile_to_csv", "profile_to_json", "project_odd",
     "sample", "sup_distance", "sup_norm",
-    "KernelFamily", "eval_k0", "eval_k1", "eval_kq",
-    "eval_kq_derivative", "fourier_symbol", "tail_mass",
+    "KernelFamily", "eval_k0", "eval_k1", "fourier_symbol",
     "OperatorConfig", "apply_pq", "apply_t0", "apply_t1", "apply_tq",
     "build_operator", "psi",
     "signed_cube_root", "t0_psi_analytic",

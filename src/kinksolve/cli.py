@@ -70,15 +70,16 @@ class RunManifest:
             fh.write("\n")
 
 
-def _write_manifest(command: str, params: dict, outputs: list[str],
+def _write_manifest(args: argparse.Namespace, outputs: list[str],
                     started: float) -> None:
-    anchor = Path(outputs[0]) if outputs else Path(f"{command}.out")
+    """Write the manifest of a run with every parsed argument as a parameter."""
+    params = {k: v for k, v in vars(args).items() if k != "command"}
     environment = {"python": platform.python_version(), "numpy": np.__version__,
                    "scipy": scipy.__version__, "platform": platform.platform()}
-    manifest = RunManifest(command=command, parameters=params, version=__version__,
+    manifest = RunManifest(command=args.command, parameters=params, version=__version__,
                            wall_time_seconds=time.time() - started,
                            outputs=[str(o) for o in outputs], environment=environment)
-    manifest.write(anchor.with_name(anchor.name + ".manifest.json"))
+    manifest.write(Path(outputs[0] + ".manifest.json"))
 
 
 def _build_parser() -> _Parser:
@@ -167,10 +168,7 @@ def _cmd_solve(args) -> int:
         json.dump(report_dict, fh, indent=2)
         fh.write("\n")
 
-    params = {k: getattr(args, k) for k in
-              ("q", "L", "h", "tol", "max_iter", "omega", "init", "method",
-               "out", "format")}
-    _write_manifest("solve", params, [str(out), str(report_path)], started)
+    _write_manifest(args, [str(out), str(report_path)], started)
     print(f"q={args.q}: converged={report.converged} "
           f"iterations={report.iterations} residual={report.final_residual:.3e}")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -188,22 +186,21 @@ def _cmd_constants(args) -> int:
     with open(out, "w", newline="\n") as fh:
         json.dump(ledger.to_json_dict(), fh, indent=2)
         fh.write("\n")
-    _write_manifest("constants", {"q_max": args.q_max, "out": args.out},
-                    [str(out)], started)
+    _write_manifest(args, [str(out)], started)
     print(f"constants written to {out} (q0 = {ledger.q0:.6f})")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     started = time.time()
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     grid = make_grid(20.0, 0.05)
-    cfg_op = OperatorConfig()
     ledger = compute_constants(grid)
     checks: list[tuple[str, float, float, bool]] = []
 
     ramp = sample(psi, grid, 0.5, -0.5)
-    oracle_err = float(np.max(np.abs(apply_t0(ramp, cfg_op).values
-                                     - t0_psi_analytic(grid.x))))
+    oracle_err = float(np.max(np.abs(apply_t0(ramp).values - t0_psi_analytic(grid.x))))
     checks.append(("analytic smoothing oracle", oracle_err, 1e-8, oracle_err <= 1e-8))
 
     from scipy.special import erf
@@ -224,7 +221,7 @@ def _cmd_verify(args) -> int:
     members = [m for m in draws if check_cone(m, ledger).member]
     n_in = len(members)
     n_preserved = sum(
-        check_cone(apply_pq(m, KernelFamily(q_run), cfg_op), ledger).member
+        check_cone(apply_pq(m, KernelFamily(q_run)), ledger).member
         for m in members)
     checks.append((f"cone membership of {args.trials} draws", float(n_in),
                    float(args.trials), n_in == args.trials))
@@ -242,28 +239,24 @@ def _cmd_verify(args) -> int:
         json.dump([{"check": n, "measured": m, "threshold": t, "pass": ok}
                    for n, m, t, ok in checks], fh, indent=2)
         fh.write("\n")
-    _write_manifest("verify", {"q": args.q, "seed": args.seed,
-                               "trials": args.trials}, [str(out)], started)
+    _write_manifest(args, [str(out)], started)
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 
 def _cmd_scan(args) -> int:
     started = time.time()
     grid = make_grid(20.0, 0.05)
-    cfg_op = OperatorConfig()
     ledger = compute_constants(grid)
     cfg = ScanConfig(q_min=args.q_min, q_max=args.q_max, coarse_steps=args.steps,
                      bisect_tol=args.bisect_tol,
                      per_solve=SolveConfig(max_iter=args.max_iter),
                      cold_check=args.cold_check)
-    report = scan(cfg, grid, ledger, cfg_op)
+    report = scan(cfg, grid, ledger)
     out = Path(args.out)
     report.to_json(out)
     csv_path = out.with_suffix(".csv")
     report.to_csv(csv_path)
-    params = {k: getattr(args, k) for k in
-              ("q_min", "q_max", "steps", "bisect_tol", "cold_check", "max_iter")}
-    _write_manifest("scan", params, [str(out), str(csv_path)], started)
+    _write_manifest(args, [str(out), str(csv_path)], started)
     if report.q_star_bracket:
         lo, hi = report.q_star_bracket
         print(f"critical deformation bracket: [{lo:.6f}, {hi:.6f}]")

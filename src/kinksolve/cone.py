@@ -45,7 +45,7 @@ from .kernels import (
     kq_abs_mass,
     kq_derivative_abs_mass,
 )
-from .operators import OperatorConfig, apply_pq, psi
+from .operators import apply_pq, psi
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -254,8 +254,8 @@ def check_cone(p: Profile, ledger: ConstantsLedger) -> ConeReport:
                       is_above_psi=is_above_psi, psi_margin=margin)
 
 
-def check_preservation(p: Profile, family: KernelFamily, ledger: ConstantsLedger,
-                       cfg: OperatorConfig = OperatorConfig()) -> ConeReport:
+def check_preservation(p: Profile, family: KernelFamily,
+                       ledger: ConstantsLedger) -> ConeReport:
     """Membership report for the image of a cone member under the map.
 
     Requires a genuine member and a deformation within the admissible bound;
@@ -266,7 +266,7 @@ def check_preservation(p: Profile, family: KernelFamily, ledger: ConstantsLedger
         raise ValueError("input profile is not a cone member")
     if family.q > ledger.q0:
         raise ValueError(f"deformation {family.q} exceeds admissible bound {ledger.q0}")
-    return check_cone(apply_pq(p, family, cfg), ledger)
+    return check_cone(apply_pq(p, family), ledger)
 
 
 def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,

@@ -121,19 +121,9 @@ def eval_k1(u):
     return eval_kernel(u, K1_WEIGHTS)
 
 
-def eval_kq(u, family: KernelFamily):
-    """Combined kernel Kq(u) = K0(u) + q^2 K1(u)."""
-    return eval_kernel(u, family.weights)
-
-
-def eval_kq_derivative(u, family: KernelFamily):
-    """Hand-differentiated Kq'(u) = -(u/2) (1 + q^2 (3/2 - u^2/4)) K0(u)."""
-    return eval_kernel_derivative(u, family.weights)
-
-
-def fourier_symbol(k, family: KernelFamily):
-    """Frequency-space multiplier (a + b k^2) exp(-k^2) = (1 + q^2 k^2) exp(-k^2)."""
-    a, b = family.weights
+def fourier_symbol(k, weights):
+    """Frequency-space multiplier (a + b k^2) exp(-k^2) of a K0 + b K1."""
+    a, b = weights
     return _times_gaussian(lambda k: a + b * k * k, lambda k: np.exp(-k * k), k)
 
 
@@ -170,21 +160,6 @@ def abs_mass_above(t: float, weights, derivative: bool = False) -> float:
     if r is None or t >= r:
         return abs(at_infinity - F(t))
     return abs(F(r) - F(t)) + abs(at_infinity - F(r))
-
-
-def tail_mass(threshold: float, family: KernelFamily) -> tuple[float, float]:
-    """Absolute kernel mass below -threshold and above +threshold.
-
-    Returns (integral_{-inf}^{-threshold} |Kq|, integral_{threshold}^{inf} |Kq|).
-    |Kq| is even, so the two components are equal.
-    """
-    t, w = float(threshold), family.weights
-    if t > 0.0:
-        right = abs_mass_above(t, w)
-    else:
-        # mass above t = total - mass above -t (evenness)
-        right = 2.0 * abs_mass_above(0.0, w) - abs_mass_above(-t, w)
-    return right, right
 
 
 def kq_abs_mass(family: KernelFamily) -> float:

@@ -2,13 +2,14 @@
 
 The operators work on the positive half-line.  An odd profile is its values
 u on the M positive nodes plus its right tail tau (centre value 0, left half
-mirrored); `build_operator(grid, family, cfg)` precomputes everything that
-depends on the grid, q and configuration once and returns a callable mapping
-(u, tau) to T_q Phi on those nodes, so oddness holds by construction.  The
-Profile-level `apply_*` functions split a profile exactly into odd and even
-halves, push each through the same half-line code and mirror the images, so
-the discretization commutes with x -> -x bitwise (the cube root amplifies
-any stray asymmetry at the kink's zero crossing by |noise|^(-2/3)).
+mirrored); `build_operator(grid, weights, cfg)` precomputes everything that
+depends on the grid, the weights (a, b) of the kernel a K0 + b K1 and the
+configuration once and returns a callable mapping (u, tau) to the image on
+those nodes, so oddness holds by construction.  The Profile-level `apply_*`
+functions split a profile exactly into odd and even halves, push each
+through the same half-line code and mirror the images, so the discretization
+commutes with x -> -x bitwise (the cube root amplifies any stray asymmetry
+at the kink's zero crossing by |noise|^(-2/3)).
 
 Two independent discretizations are provided:
 
@@ -26,7 +27,7 @@ the cube root, the branch forced by sign-changing solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
 
@@ -37,6 +38,7 @@ from scipy.special import zeta as _sp_zeta
 
 from .grid import GridSpec, Profile
 from .kernels import (
+    K0_WEIGHTS,
     K1_WEIGHTS,
     KernelFamily,
     eval_kernel,
@@ -211,21 +213,22 @@ class _Spectral:
     truncation.  A Gaussian-smoothed step erf(a x) maps to erf(b x) with
     b = a / sqrt(1 + 4 a^2); the curvature part is minus its second
     derivative, (4 b^3 / sqrt(pi)) x exp(-b^2 x^2); constants are fixed.
-    The kernel's weights (w0, w1) on K0 and K1 weigh the two images.
+    The kernel's weights (w0, w1) weigh the two images; a constant c maps to w0 c.
     Each image is symmetrized on the periodic grid (x -> -x maps index i to
     (N - i) mod N).  The seam node x = -L of the odd extension is forced to
     zero (an odd periodic function must vanish there); the value it drops is
     already periodization noise of the same size.
     """
 
-    def __init__(self, grid: GridSpec, family: KernelFamily) -> None:
+    def __init__(self, grid: GridSpec, weights: tuple[float, float]) -> None:
         c = grid.center_index
         x = grid.x[c + 1:]
         k = 2.0 * math.pi * np.fft.rfftfreq(grid.n_points - 1, d=grid.spacing)
         self.c = c
-        self.symbol = fourier_symbol(k, family)
+        self.symbol = fourier_symbol(k, weights)
         self.reference = erf(0.5 * x)
-        (w0, w1), b = family.weights, _REF_B
+        (w0, w1), b = weights, _REF_B
+        self.mass = w0
         curvature = w1 * (4.0 * b**3 / _SQRT_PI) * x * np.exp(-(b * x) ** 2)
         self.reference_image = w0 * erf(b * x) + curvature
 
@@ -244,23 +247,23 @@ class _Spectral:
         """Image on nodes 0..M of the even profile with values e there."""
         img = self._multiply(np.concatenate([e[:0:-1], e[:-1]]) - tail)
         c = self.c
-        return np.append(0.5 * (img[c:] + img[c:0:-1]), img[0]) + tail
+        return np.append(0.5 * (img[c:] + img[c:0:-1]), img[0]) + self.mass * tail
 
 
 @lru_cache(maxsize=8)
-def build_operator(grid: GridSpec, family: KernelFamily,
+def build_operator(grid: GridSpec, weights: tuple[float, float],
                    cfg: OperatorConfig = OperatorConfig()):
-    """T_q on odd profiles, built once per (grid, q, cfg).
+    """a K0 + b K1 on odd profiles, built once per (grid, weights, cfg).
 
     Calling the result with the values u on the positive nodes and the
-    right tail tau returns T_q Phi on those nodes.  The quadrature kernel
-    row is the combined K_q = K0 + q^2 K1, so an application costs one
-    spectrum product at every q.  Recent builds are memoised (the arguments
+    right tail tau returns the image on those nodes.  The quadrature kernel
+    row is the combined a K0 + b K1, so an application costs one spectrum
+    product whatever the weights.  Recent builds are memoised (the arguments
     are frozen) and shared, so callers only read them.
     """
     if cfg.method == "spectral":
-        return _Spectral(grid, family)
-    return _Quadrature(grid, family.weights)
+        return _Spectral(grid, weights)
+    return _Quadrature(grid, weights)
 
 
 def _apply(p: Profile, op) -> np.ndarray:
@@ -280,31 +283,38 @@ def _apply(p: Profile, op) -> np.ndarray:
     return np.concatenate([e[:0:-1] - o[::-1], e[:1], e[1:] + o])
 
 
-def apply_t0(p: Profile, cfg: OperatorConfig = OperatorConfig()) -> Profile:
+def _apply_kernel(p: Profile, weights: tuple[float, float],
+                  cfg: OperatorConfig = OperatorConfig()) -> Profile:
+    """p convolved with a K0 + b K1.  The kernel's mass is a, so a constant
+    tail t maps to a t; at a = 0 the tails are +0, whatever the sign of t."""
+    a = weights[0]
+    return Profile(grid=p.grid, values=_apply(p, build_operator(p.grid, weights, cfg)),
+                   tail_right=a * p.tail_right if a else 0.0,
+                   tail_left=a * p.tail_left if a else 0.0)
+
+
+def apply_t0(p: Profile) -> Profile:
     """Smooth a profile with the unit-mass Gaussian kernel, by quadrature.
 
     Constants are fixed, so the output tails equal the input tails.
     """
-    return apply_tq(p, KernelFamily(0.0), replace(cfg, method="quadrature"))
+    return _apply_kernel(p, K0_WEIGHTS)
 
 
-def apply_t1(p: Profile, cfg: OperatorConfig = OperatorConfig()) -> Profile:
+def apply_t1(p: Profile) -> Profile:
     """Convolve a profile with the zero-mass curvature kernel, by quadrature.
 
     The kernel integrates to zero, so constants map to zero and the output
     tails vanish: at x -> +-inf the value tends to tail * (total mass) = 0,
-    for equal-magnitude constant tails and for odd tail pairs alike.  cfg
-    has nothing to select here: the path is quadrature at the fixed window.
+    for equal-magnitude constant tails and for odd tail pairs alike.
     """
-    op = _Quadrature(p.grid, K1_WEIGHTS)
-    return Profile(grid=p.grid, values=_apply(p, op), tail_right=0.0, tail_left=0.0)
+    return _apply_kernel(p, K1_WEIGHTS)
 
 
 def apply_tq(p: Profile, family: KernelFamily,
              cfg: OperatorConfig = OperatorConfig()) -> Profile:
     """Apply the combined linear operator (Gaussian + q^2 curvature)."""
-    return Profile(grid=p.grid, values=_apply(p, build_operator(p.grid, family, cfg)),
-                   tail_right=p.tail_right, tail_left=p.tail_left)
+    return _apply_kernel(p, family.weights, cfg)
 
 
 def apply_pq(p: Profile, family: KernelFamily,

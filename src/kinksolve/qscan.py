@@ -21,7 +21,6 @@ import numpy as np
 
 from .cone import ConstantsLedger
 from .grid import GridSpec, Profile
-from .operators import OperatorConfig
 from .solver import SolveConfig, SolveReport, solve
 
 #: Right-boundary value separating the kink branch from the others.
@@ -98,8 +97,7 @@ def _as_sample(q: float, report: SolveReport) -> ScanSample:
                       kink_amplitude=float(report.solution.values[-1]))
 
 
-def scan(cfg: ScanConfig, grid: GridSpec, ledger: ConstantsLedger,
-         cfg_op: OperatorConfig = OperatorConfig()) -> ScanReport:
+def scan(cfg: ScanConfig, grid: GridSpec, ledger: ConstantsLedger) -> ScanReport:
     """Coarse warm-started sweep, optional cold cross-check, and bisection.
 
     Reports (never raises) when no kink/no-kink boundary lies in the range;
@@ -109,8 +107,7 @@ def scan(cfg: ScanConfig, grid: GridSpec, ledger: ConstantsLedger,
     samples: list[ScanSample] = []
     warm: Profile | None = None
     for q in qs:
-        report = solve(replace(cfg.per_solve, q=float(q)), grid, ledger, cfg_op,
-                       initial=warm)
+        report = solve(replace(cfg.per_solve, q=float(q)), grid, ledger, initial=warm)
         samples.append(_as_sample(q, report))
         if report.converged:
             warm = report.solution
@@ -120,14 +117,14 @@ def scan(cfg: ScanConfig, grid: GridSpec, ledger: ConstantsLedger,
     if cfg.cold_check:
         cold_samples = []
         for q in qs:
-            report = solve(replace(cfg.per_solve, q=float(q)), grid, ledger, cfg_op)
+            report = solve(replace(cfg.per_solve, q=float(q)), grid, ledger)
             cold_samples.append(_as_sample(q, report))
         agree = all(w.is_kink == c.is_kink for w, c in zip(samples, cold_samples))
 
     bracket = None
     for lo_sample, hi_sample in zip(samples[:-1], samples[1:]):
         if lo_sample.is_kink and not hi_sample.is_kink:
-            bracket = _bisect(lo_sample.q, hi_sample.q, cfg, grid, ledger, cfg_op)
+            bracket = _bisect(lo_sample.q, hi_sample.q, cfg, grid, ledger)
             break
 
     return ScanReport(samples=samples, q_star_bracket=bracket,
@@ -135,10 +132,10 @@ def scan(cfg: ScanConfig, grid: GridSpec, ledger: ConstantsLedger,
 
 
 def _bisect(lo: float, hi: float, cfg: ScanConfig, grid: GridSpec,
-            ledger: ConstantsLedger, cfg_op: OperatorConfig) -> tuple[float, float]:
+            ledger: ConstantsLedger) -> tuple[float, float]:
     while hi - lo > cfg.bisect_tol:
         mid = 0.5 * (lo + hi)
-        report = solve(replace(cfg.per_solve, q=mid), grid, ledger, cfg_op)
+        report = solve(replace(cfg.per_solve, q=mid), grid, ledger)
         if _as_sample(mid, report).is_kink:
             lo = mid
         else:

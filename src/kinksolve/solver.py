@@ -188,12 +188,11 @@ def _mix(a, b, omega: float):
     return (1.0 - omega) * a + omega * b
 
 
-def iterate_once(p: Profile, cfg_solve: SolveConfig,
-                 cfg_op: OperatorConfig = OperatorConfig()) -> Profile:
+def iterate_once(p: Profile, cfg_solve: SolveConfig) -> Profile:
     """One damped step on the odd projection of p: mix it with its image
     under the map at q = cfg_solve.q."""
     u, tau = _odd_half(p)
-    op = build_operator(p.grid, KernelFamily(cfg_solve.q), cfg_op)
+    op = build_operator(p.grid, KernelFamily(cfg_solve.q).weights)
     image, image_tau, _ = _step(op, u, tau)
     omega = cfg_solve.damping
     return _odd_profile(p.grid, _mix(u, image, omega), _mix(tau, image_tau, omega))
@@ -208,13 +207,14 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     projected onto odd profiles once; ValueError is raised when it lives on
     another grid than `grid` or when its tails are not opposite.  The
     default undamped iteration falls back to half damping when the residual
-    has grown five steps in a row, and records that as an event.
+    has grown five steps in a row, and records that as an event.  The decay
+    estimate needs a converged kink and a grid half-width above 8.
     """
     if initial is None:
         initial = initial_guess(cfg_solve.init, grid, ledger, cfg_solve.init_path)
     _check_grid(initial, grid)
     u, tau = _odd_half(initial)
-    op = build_operator(grid, KernelFamily(cfg_solve.q), cfg_op)
+    op = build_operator(grid, KernelFamily(cfg_solve.q).weights, cfg_op)
 
     omega = cfg_solve.damping
     trace: list[float] = []
@@ -240,9 +240,9 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
         u, tau = _mix(u, image, omega), _mix(tau, image_tau, omega)
 
     p = _odd_profile(grid, u, tau)
-    decay = None
-    if converged and tau == 1.0:
-        decay = decay_diagnostic(p, ledger, l0=2.0).ratio
+    decay, l0 = None, 2.0
+    if converged and tau == 1.0 and l0 < grid.half_width / 4.0:
+        decay = decay_diagnostic(p, ledger, l0).ratio
     return SolveReport(
         converged=converged,
         iterations=len(trace),

@@ -20,7 +20,13 @@ from kinksolve.cone import (
     random_cone_members,
 )
 from kinksolve.grid import make_grid, odd_defect, sample, sup_distance
-from kinksolve.kernels import KernelFamily, eval_k1, eval_kq, fourier_symbol, sign_change
+from kinksolve.kernels import (
+    KernelFamily,
+    eval_k1,
+    eval_kernel,
+    fourier_symbol,
+    sign_change,
+)
 from kinksolve.operators import (
     OperatorConfig,
     apply_t0,
@@ -54,7 +60,7 @@ def _report(n, elapsed, budget, detail):
 def test_criterion_1_analytic_oracle(grid):
     started = time.perf_counter()
     ramp = sample(psi, grid, 0.5, -0.5)
-    smoothed = apply_t0(ramp, OperatorConfig())
+    smoothed = apply_t0(ramp)
     sup_err = float(np.max(np.abs(smoothed.values - t0_psi_analytic(grid.x))))
     assert sup_err <= 1e-8
 
@@ -77,11 +83,11 @@ def test_criterion_2_kernel_mass():
         fam = KernelFamily(q)
         root = sign_change(fam.weights)
         pts = [root] if root is not None and root < 14.0 else None
-        mass, _ = quad(lambda u: eval_kq(u, fam), -14.0, 14.0,
+        mass, _ = quad(lambda u: eval_kernel(u, fam.weights), -14.0, 14.0,
                        points=pts, epsabs=1e-13, limit=200)
         worst = max(worst, abs(mass - 1.0))
         assert abs(mass - 1.0) <= 1e-10
-        assert fourier_symbol(0.0, fam) == 1.0
+        assert fourier_symbol(0.0, fam.weights) == 1.0
     k1_mass, _ = quad(eval_k1, -14.0, 14.0, points=[math.sqrt(2.0)],
                       epsabs=1e-13, limit=200)
     assert abs(k1_mass) <= 1e-10

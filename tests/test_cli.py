@@ -38,6 +38,7 @@ def test_solve_default_writes_csv_and_manifest(workdir, ledger_file):
     manifest = json.loads((workdir / "sol.csv.manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert manifest["parameters"]["q"] == 0.0
+    assert manifest["parameters"]["ledger"] == str(ledger_file)
     assert "sol.csv" in manifest["outputs"][0]
     env = manifest["environment"]
     assert env["python"] == platform.python_version()
@@ -56,6 +57,16 @@ def test_solve_json_format_inlines_profile(workdir, ledger_file):
     assert code == 0
     report = json.loads((workdir / "sol.json.report.json").read_text())
     assert len(report["solution"]["values"]) == 801
+
+
+def test_solve_on_short_grid_writes_outputs(workdir):
+    # L = 5 is too short for the decay fit, which is then left out
+    code = main(["solve", "--L", "5", "--out", "short.csv"])
+    assert code == 0
+    assert len((workdir / "short.csv").read_text().splitlines()) == 202
+    report = json.loads((workdir / "short.csv.report.json").read_text())
+    assert report["converged"] is True and report["decay_estimate"] is None
+    assert (workdir / "short.csv.manifest.json").exists()
 
 
 def test_solve_incommensurate_grid_exits_1(workdir):
@@ -153,6 +164,13 @@ def test_verify_command_passes(workdir, capsys):
     assert "PASS" in out and "FAIL" not in out
     rows = json.loads((workdir / "verify.json").read_text())
     assert all(r["pass"] for r in rows)
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_trials_below_one(workdir, trials):
+    code = main(["verify", "--trials", trials, "--out", "verify.json"])
+    assert code == 1
+    assert not (workdir / "verify.json").exists()
 
 
 def test_verify_across_admissible_range(workdir):

@@ -19,15 +19,13 @@ from kinksolve.kernels import (
     abs_mass_above,
     eval_k0,
     eval_k1,
+    eval_kernel,
     eval_kernel_derivative,
-    eval_kq,
-    eval_kq_derivative,
     fourier_symbol,
     kernel_cumulative,
     kq_abs_mass,
     kq_derivative_abs_mass,
     sign_change,
-    tail_mass,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -111,13 +109,14 @@ def test_k1_is_negative_second_derivative_of_k0():
 
 def test_kq_reduces_to_k0_at_q0():
     fam = KernelFamily(0.0)
-    assert eval_kq(0.0, fam) == eval_k0(0.0)
+    assert eval_kernel(0.0, fam.weights) == eval_k0(0.0)
 
 
 def test_kq_peak_at_q1():
     fam = KernelFamily(1.0)
-    assert eval_kq(0.0, fam) == pytest.approx(3.0 / (4.0 * SQRT_PI), rel=1e-15)
-    assert eval_kq(0.0, fam) == pytest.approx(0.42314218766, abs=1e-11)
+    assert eval_kernel(0.0, fam.weights) == pytest.approx(3.0 / (4.0 * SQRT_PI),
+                                                          rel=1e-15)
+    assert eval_kernel(0.0, fam.weights) == pytest.approx(0.42314218766, abs=1e-11)
 
 
 def test_kq_negative_beyond_sign_change():
@@ -125,17 +124,17 @@ def test_kq_negative_beyond_sign_change():
         fam = KernelFamily(q)
         root = sign_change(fam.weights)
         assert root == pytest.approx(math.sqrt(4.0 / q**2 + 2.0), rel=1e-14)
-        assert eval_kq(root * 1.1, fam) < 0.0
-        assert eval_kq(root * 0.9, fam) > 0.0
+        assert eval_kernel(root * 1.1, fam.weights) < 0.0
+        assert eval_kernel(root * 0.9, fam.weights) > 0.0
         droot = sign_change(fam.weights, derivative=True)
         assert droot == pytest.approx(math.sqrt(4.0 / q**2 + 6.0), rel=1e-14)
-        assert eval_kq_derivative(droot * 1.1, fam) > 0.0
-        assert eval_kq_derivative(droot * 0.9, fam) < 0.0
+        assert eval_kernel_derivative(droot * 1.1, fam.weights) > 0.0
+        assert eval_kernel_derivative(droot * 0.9, fam.weights) < 0.0
 
 
 def test_kq_derivative_vanishes_at_origin():
     for q in [0.0, 0.5, 1.0]:
-        assert eval_kq_derivative(0.0, KernelFamily(q)) == 0.0
+        assert eval_kernel_derivative(0.0, KernelFamily(q).weights) == 0.0
 
 
 def test_kq_derivative_matches_finite_difference():
@@ -144,16 +143,17 @@ def test_kq_derivative_matches_finite_difference():
     for q in [0.0, 0.4, 1.0]:
         fam = KernelFamily(q)
         for u in [-3.1, -1.0, 0.2, 0.9, 2.7, 4.4]:
-            fd = (eval_kq(u + eps, fam) - eval_kq(u - eps, fam)) / (2.0 * eps)
-            assert eval_kq_derivative(u, fam) == pytest.approx(fd, abs=1e-8)
+            fd = (eval_kernel(u + eps, fam.weights)
+                  - eval_kernel(u - eps, fam.weights)) / (2.0 * eps)
+            assert eval_kernel_derivative(u, fam.weights) == pytest.approx(fd, abs=1e-8)
 
 
 def test_k0_derivative_formula():
     for u in [0.4, 1.7, -2.2]:
-        assert eval_kq_derivative(u, KernelFamily(0.0)) == pytest.approx(
+        assert eval_kernel_derivative(u, KernelFamily(0.0).weights) == pytest.approx(
             -0.5 * u * eval_k0(u), rel=1e-15)
-        assert eval_kernel_derivative(u, K0_WEIGHTS) == eval_kq_derivative(
-            u, KernelFamily(0.0))
+        assert eval_kernel_derivative(u, K0_WEIGHTS) == eval_kernel_derivative(
+            u, KernelFamily(0.0).weights)
 
 
 def test_k0_derivative_abs_mass():
@@ -168,45 +168,49 @@ def test_k0_derivative_abs_mass():
 @settings(max_examples=300, deadline=None)
 def test_kq_derivative_is_odd(u, q):
     fam = KernelFamily(q)
-    assert eval_kq_derivative(u, fam) == -eval_kq_derivative(-u, fam)
+    assert (eval_kernel_derivative(u, fam.weights)
+            == -eval_kernel_derivative(-u, fam.weights))
 
 
 def test_fourier_symbol_at_zero_is_unit_mass():
     for q in [0.0, 0.25, 0.5, 1.0]:
-        assert fourier_symbol(0.0, KernelFamily(q)) == 1.0
+        assert fourier_symbol(0.0, KernelFamily(q).weights) == 1.0
 
 
 def test_fourier_symbol_q0_heat_kernel():
     for k in [0.3, 1.0, 2.5]:
-        assert fourier_symbol(k, KernelFamily(0.0)) == pytest.approx(
+        assert fourier_symbol(k, KernelFamily(0.0).weights) == pytest.approx(
             math.exp(-k * k), rel=1e-15)
 
 
 def test_fourier_symbol_value_and_quadrature():
     fam = KernelFamily(1.0)
-    assert fourier_symbol(1.0, fam) == pytest.approx(2.0 / math.e, rel=1e-13)
+    assert fourier_symbol(1.0, fam.weights) == pytest.approx(2.0 / math.e, rel=1e-13)
     # cross-check: the cosine transform of the kernel matches the symbol
     for k, q in [(1.0, 1.0), (0.7, 0.4), (2.0, 0.0)]:
         famq = KernelFamily(q)
-        val = riemann(lambda u: eval_kq(u, famq) * np.cos(k * u))
-        assert val == pytest.approx(fourier_symbol(k, famq), abs=1e-10)
+        val = riemann(lambda u: eval_kernel(u, famq.weights) * np.cos(k * u))
+        assert val == pytest.approx(fourier_symbol(k, famq.weights), abs=1e-10)
 
 
 @given(st.floats(min_value=-26, max_value=26), st.floats(min_value=0, max_value=2))
 @settings(max_examples=300, deadline=None)
 def test_fourier_symbol_positive(k, q):
     # strictly positive wherever exp(-k^2) has not underflowed (|k| < 27)
-    assert fourier_symbol(k, KernelFamily(q)) > 0.0
+    assert fourier_symbol(k, KernelFamily(q).weights) > 0.0
 
 
 def test_tail_mass_symmetric_halves():
-    left, right = tail_mass(0.0, KernelFamily(0.0))
+    fam = KernelFamily(0.0)
+    right = abs_mass_above(0.0, fam.weights)
+    left = kq_abs_mass(fam) - right
     assert left == pytest.approx(0.5, abs=1e-14)
     assert right == pytest.approx(0.5, abs=1e-14)
 
 
 def test_tail_mass_gaussian_closed_form():
-    left, right = tail_mass(2.0, KernelFamily(0.0))
+    right = abs_mass_above(2.0, KernelFamily(0.0).weights)
+    left = kernel_cumulative(-2.0, K0_WEIGHTS)  # K0 > 0: its mass below -2
     expected = 0.5 * erfc(1.0)
     assert left == pytest.approx(expected, rel=1e-13)
     assert right == pytest.approx(expected, rel=1e-13)
@@ -218,16 +222,16 @@ def test_tail_mass_gaussian_closed_form():
 
 def test_tail_mass_quadrature_at_positive_q():
     fam = KernelFamily(1.0)
-    _, right = tail_mass(1.5, fam)
+    right = abs_mass_above(1.5, fam.weights)
     u = np.linspace(1.5, 16.0, 1_450_001)
-    assert right == pytest.approx(float(np.trapezoid(np.abs(eval_kq(u, fam)), u)),
-                                  abs=1e-9)
+    assert right == pytest.approx(
+        float(np.trapezoid(np.abs(eval_kernel(u, fam.weights)), u)), abs=1e-9)
 
 
 def test_tail_mass_monotone_in_threshold():
     for q in [0.0, 0.5, 1.0]:
         fam = KernelFamily(q)
-        values = [tail_mass(t, fam)[1] for t in np.linspace(0.0, 8.0, 33)]
+        values = [abs_mass_above(t, fam.weights) for t in np.linspace(0.0, 8.0, 33)]
         assert all(a >= b - 1e-15 for a, b in zip(values[:-1], values[1:]))
 
 
@@ -256,15 +260,15 @@ def test_kernel_norms_closed_form_at_q1():
     fam = KernelFamily(1.0)
     assert kq_abs_mass(fam) == pytest.approx(a1, abs=1e-12)
     vs = math.sqrt(10.0)
-    e1 = 2.0 * (eval_kq(0.0, fam) - 2.0 * eval_kq(vs, fam))
+    e1 = 2.0 * (eval_kernel(0.0, fam.weights) - 2.0 * eval_kernel(vs, fam.weights))
     assert kq_derivative_abs_mass(fam) == pytest.approx(e1, abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [*np.linspace(0.0, 1.0, 101), 2.0, 5.0])
 def test_abs_masses_match_quadrature_oracle(q):
     fam = KernelFamily(q)
-    a = quad_abs_mass(lambda u: eval_kq(u, fam), [sign_change(fam.weights)])
-    e = quad_abs_mass(lambda u: eval_kq_derivative(u, fam),
+    a = quad_abs_mass(lambda u: eval_kernel(u, fam.weights), [sign_change(fam.weights)])
+    e = quad_abs_mass(lambda u: eval_kernel_derivative(u, fam.weights),
                       [sign_change(fam.weights, derivative=True)])
     assert abs(kq_abs_mass(fam) - a) <= 1e-13
     assert abs(kq_derivative_abs_mass(fam) - e) <= 1e-13
@@ -325,7 +329,8 @@ def test_kernel_norms_suprema_frozen():
     assert b == pytest.approx(1.1418316262804378, rel=1e-12)
     assert e == pytest.approx(0.9389073776999057, rel=1e-12)
     u = np.arange(-14.0, 14.0, 1e-4)
-    assert b == pytest.approx(float(np.sum(np.abs(eval_kq(u, fam)))) * 1e-4, abs=1e-7)
+    assert b == pytest.approx(float(np.sum(np.abs(eval_kernel(u, fam.weights)))) * 1e-4,
+                              abs=1e-7)
     assert b >= 1.0
 
 
@@ -365,13 +370,14 @@ def test_weighted_evaluators_match_separate_formulas(q):
     pairs = [
         (eval_k0(u), g),
         (eval_k1(u), (0.5 - 0.25 * u * u) * g),
-        (eval_kq(u, fam), (1.0 + q2 * (0.5 - 0.25 * u * u)) * g),
+        (eval_kernel(u, fam.weights), (1.0 + q2 * (0.5 - 0.25 * u * u)) * g),
         (eval_kernel_derivative(u, K0_WEIGHTS), -0.5 * u * g),
         (eval_kernel_derivative(u, K1_WEIGHTS), -0.5 * u * (1.5 - 0.25 * u * u) * g),
-        (eval_kq_derivative(u, fam), -0.5 * u * (1.0 + q2 * (1.5 - 0.25 * u * u)) * g),
+        (eval_kernel_derivative(u, fam.weights),
+         -0.5 * u * (1.0 + q2 * (1.5 - 0.25 * u * u)) * g),
         (kernel_cumulative(u, K1_WEIGHTS), 0.5 * u * g),
         (kernel_cumulative(u, fam.weights), 0.5 * erfc(-0.5 * u) + q2 * 0.5 * u * g),
-        (fourier_symbol(u, fam), (1.0 + q2 * u * u) * np.exp(-u * u)),
+        (fourier_symbol(u, fam.weights), (1.0 + q2 * u * u) * np.exp(-u * u)),
     ]
     for got, want in pairs:
         assert np.array_equal(got, want)
@@ -385,11 +391,12 @@ def test_weighted_evaluators_match_separate_formulas(q):
 
 #: Each quantity far from the origin, with the limit it must return there.
 FAR_LIMITS = {
-    "value": (eval_kq, lambda u, a: 0.0),
-    "derivative": (eval_kq_derivative, lambda u, a: 0.0),
+    "value": (lambda u, fam: eval_kernel(u, fam.weights), lambda u, a: 0.0),
+    "derivative": (lambda u, fam: eval_kernel_derivative(u, fam.weights),
+                   lambda u, a: 0.0),
     "antiderivative": (lambda u, fam: kernel_cumulative(u, fam.weights),
                        lambda u, a: a if u > 0.0 else 0.0),
-    "symbol": (fourier_symbol, lambda u, a: 0.0),
+    "symbol": (lambda u, fam: fourier_symbol(u, fam.weights), lambda u, a: 0.0),
     "k1": (lambda u, fam: eval_k1(u), lambda u, a: 0.0),
     "k1_antiderivative": (lambda u, fam: kernel_cumulative(u, K1_WEIGHTS),
                           lambda u, a: 0.0),
@@ -415,7 +422,8 @@ def test_kernel_quantities_take_exact_limits_far_out(u, q, quantity):
 def test_unit_mass_for_all_q():
     for q in [0.0, 0.25, 0.5, 1.0]:
         fam = KernelFamily(q)
-        assert riemann(lambda u: eval_kq(u, fam)) == pytest.approx(1.0, abs=1e-10)
+        assert riemann(lambda u: eval_kernel(u, fam.weights)) == pytest.approx(
+            1.0, abs=1e-10)
 
 
 def test_k1_cumulative_signed_formula():

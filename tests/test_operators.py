@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from kinksolve.grid import Profile, make_grid, odd_defect, sample, sup_distance, sup_norm
-from kinksolve.kernels import K1_WEIGHTS, KernelFamily, eval_kernel
+from kinksolve.kernels import K0_WEIGHTS, K1_WEIGHTS, KernelFamily, eval_kernel
 from kinksolve.operators import (
     OperatorConfig,
     _Quadrature,
@@ -107,6 +107,28 @@ def test_quadrature_vs_spectral_on_erf(default_grid):
     a = apply_tq(p, fam, OperatorConfig("quadrature"))
     b = apply_tq(p, fam, OperatorConfig("spectral"))
     assert sup_distance(a, b) <= 1e-9
+
+
+def test_t1_quadrature_vs_spectral(default_grid):
+    # the curvature kernel alone, odd and even halves (tanh + Gaussian bump,
+    # the constant) alike
+    grid = default_grid
+    profiles = [
+        sample(lambda x: erf(x), grid, 1.0, -1.0),
+        sample(np.tanh, grid, 1.0, -1.0),
+        sample(psi, grid, 0.5, -0.5),
+        sample(lambda x: np.tanh(x) + 0.1 * np.exp(-x * x), grid, 1.0, -1.0),
+        sample(lambda x: np.ones_like(x), grid, 1.0, 1.0),
+    ]
+    quadrature, spectral = (build_operator(grid, K1_WEIGHTS, OperatorConfig(m))
+                            for m in ("quadrature", "spectral"))
+    for p in profiles:
+        assert np.max(np.abs(_apply(p, quadrature) - _apply(p, spectral))) <= 1e-8
+
+
+def test_operator_memo_is_keyed_on_weights(default_grid):
+    assert build_operator(default_grid, KernelFamily(0.0).weights) is build_operator(
+        default_grid, K0_WEIGHTS)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 1.0])
@@ -217,9 +239,12 @@ def test_half_line_operator_is_positive_half_of_tq(default_grid, method):
     p = sample(lambda x: np.cbrt(np.tanh(x)), default_grid, 1.0, -1.0)
     for q in (0.0, 0.5):
         cfg = OperatorConfig(method)
-        op = build_operator(default_grid, KernelFamily(q), cfg)
+        op = build_operator(default_grid, KernelFamily(q).weights, cfg)
         half = op(p.values[c + 1:], p.tail_right)
         assert np.array_equal(half, apply_tq(p, KernelFamily(q), cfg).values[c + 1:])
+    if method == "quadrature":
+        half = build_operator(default_grid, K1_WEIGHTS)(p.values[c + 1:], p.tail_right)
+        assert np.array_equal(half, apply_t1(p).values[c + 1:])
 
 
 @pytest.mark.parametrize("method", ["quadrature", "spectral"])
@@ -230,9 +255,9 @@ def test_memoised_operator_images_match_fresh_build(default_grid, method):
     cfg = OperatorConfig(method)
     for q in (0.0, 0.2):
         family = KernelFamily(q)
-        assert build_operator(default_grid, family, cfg) is build_operator(
-            default_grid, family, cfg)
-        fresh = build_operator.__wrapped__(default_grid, family, cfg)
+        assert build_operator(default_grid, family.weights, cfg) is build_operator(
+            default_grid, family.weights, cfg)
+        fresh = build_operator.__wrapped__(default_grid, family.weights, cfg)
         for _ in range(2):
             assert np.array_equal(apply_tq(p, family, cfg).values, _apply(p, fresh))
 

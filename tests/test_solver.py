@@ -215,6 +215,14 @@ def test_decay_diagnostic_l0_validation(kink_q0, ledger):
         decay_diagnostic(kink_q0.solution, ledger, l0=10.0)
 
 
+@pytest.mark.parametrize("half_width", [5.0, 8.0])
+def test_solve_on_grid_too_short_for_decay_fit(ledger, half_width):
+    # the fit starts at l0 = 2, which must stay below a quarter of L
+    rep = solve(SolveConfig(q=0.0), make_grid(half_width, 0.05), ledger)
+    assert rep.converged
+    assert rep.decay_estimate is None
+
+
 def test_grid_refinement_consistency(kink_q0):
     fine_grid = make_grid(20.0, 0.025)
     from kinksolve.cone import compute_constants

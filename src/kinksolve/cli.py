@@ -19,24 +19,26 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
+from scipy.special import erf
 
 from . import __version__
 from .cone import (
+    ConstantsLedger,
     LedgerInvariantError,
     check_cone,
     compute_constants,
     random_cone_members,
+    validate_ledger,
 )
 from .grid import make_grid, profile_to_csv, profile_to_json, sample, sup_distance
 from .kernels import KernelFamily
 from .operators import OperatorConfig, apply_pq, apply_t0, apply_tq, psi, t0_psi_analytic
 from .qscan import ScanConfig, scan
-from .solver import SolveConfig, solve
+from .solver import SolveConfig, initial_guess, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,31 +57,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    version: str
-    wall_time_seconds: float
-    outputs: list[str]
-    environment: dict
-
-    def write(self, path: Path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(vars(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _write_json(path, obj, sort_keys: bool = False) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def _write_manifest(args: argparse.Namespace, outputs: list[str],
                     started: float) -> None:
     """Write the manifest of a run with every parsed argument as a parameter."""
-    params = {k: v for k, v in vars(args).items() if k != "command"}
     environment = {"python": platform.python_version(), "numpy": np.__version__,
                    "scipy": scipy.__version__, "platform": platform.platform()}
-    manifest = RunManifest(command=args.command, parameters=params, version=__version__,
-                           wall_time_seconds=time.time() - started,
-                           outputs=[str(o) for o in outputs], environment=environment)
-    manifest.write(Path(outputs[0] + ".manifest.json"))
+    manifest = {"command": args.command,
+                "parameters": {k: v for k, v in vars(args).items() if k != "command"},
+                "version": __version__, "wall_time_seconds": time.time() - started,
+                "outputs": outputs, "environment": environment}
+    _write_json(outputs[0] + ".manifest.json", manifest, sort_keys=True)
 
 
 def _build_parser() -> _Parser:
@@ -136,8 +129,6 @@ def _parse_init(raw: str) -> tuple[str, str | None]:
 
 
 def _load_or_compute_ledger(grid, ledger_path):
-    from .cone import ConstantsLedger, validate_ledger
-
     if ledger_path is not None:
         ledger = ConstantsLedger.from_json_dict(json.loads(Path(ledger_path).read_text()))
         validate_ledger(ledger)
@@ -145,54 +136,41 @@ def _load_or_compute_ledger(grid, ledger_path):
     return compute_constants(grid)
 
 
-def _cmd_solve(args) -> int:
-    started = time.time()
+def _cmd_solve(args) -> tuple[int, list[str]]:
     init, init_path = _parse_init(args.init)
     grid = make_grid(args.L, args.h)
     cfg_op = OperatorConfig(method=args.method)
     ledger = _load_or_compute_ledger(grid, args.ledger)
-    cfg = SolveConfig(q=args.q, damping=args.omega, tol=args.tol,
-                      max_iter=args.max_iter, init=init, init_path=init_path)
-    report = solve(cfg, grid, ledger, cfg_op)
+    cfg = SolveConfig(q=args.q, damping=args.omega, tol=args.tol, max_iter=args.max_iter)
+    report = solve(cfg, grid, ledger, cfg_op,
+                   initial=initial_guess(init, grid, ledger, init_path))
 
     out = Path(args.out)
+    report_path = out.with_name(out.name + ".report.json")
     if args.format == "csv":
         profile_to_csv(report.solution, out)
-        report_path = out.with_name(out.name + ".report.json")
         report_dict = report.to_json_dict(inline_profile=False, profile_path=out.name)
     else:
         profile_to_json(report.solution, out)
-        report_path = out.with_name(out.name + ".report.json")
         report_dict = report.to_json_dict(inline_profile=True)
-    with open(report_path, "w", newline="\n") as fh:
-        json.dump(report_dict, fh, indent=2)
-        fh.write("\n")
+    _write_json(report_path, report_dict)
 
-    _write_manifest(args, [str(out), str(report_path)], started)
     print(f"q={args.q}: converged={report.converged} "
           f"iterations={report.iterations} residual={report.final_residual:.3e}")
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+    return (EXIT_OK if report.converged else EXIT_NO_CONVERGENCE,
+            [str(out), str(report_path)])
 
 
-def _cmd_constants(args) -> int:
-    started = time.time()
-    grid = make_grid(20.0, 0.05)
-    try:
-        ledger = compute_constants(grid, q_range_max=args.q_max)
-    except LedgerInvariantError as exc:
-        print(f"ledger invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+def _cmd_constants(args) -> tuple[int, list[str]]:
+    # a LedgerInvariantError reaches main, which exits 3 with no manifest
+    ledger = compute_constants(make_grid(20.0, 0.05), q_range_max=args.q_max)
     out = Path(args.out)
-    with open(out, "w", newline="\n") as fh:
-        json.dump(ledger.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-    _write_manifest(args, [str(out)], started)
+    _write_json(out, ledger.to_json_dict())
     print(f"constants written to {out} (q0 = {ledger.q0:.6f})")
-    return EXIT_OK
+    return EXIT_OK, [str(out)]
 
 
-def _cmd_verify(args) -> int:
-    started = time.time()
+def _cmd_verify(args) -> tuple[int, list[str]]:
     if args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     grid = make_grid(20.0, 0.05)
@@ -203,11 +181,9 @@ def _cmd_verify(args) -> int:
     oracle_err = float(np.max(np.abs(apply_t0(ramp).values - t0_psi_analytic(grid.x))))
     checks.append(("analytic smoothing oracle", oracle_err, 1e-8, oracle_err <= 1e-8))
 
-    from scipy.special import erf
-
     family = KernelFamily(args.q)
     worst = 0.0
-    for f, tr in [(lambda x: erf(x), 1.0), (np.tanh, 1.0), (psi, 0.5)]:
+    for f, tr in [(erf, 1.0), (np.tanh, 1.0), (psi, 0.5)]:
         p = sample(f, grid, tr, -tr)
         worst = max(worst, sup_distance(apply_tq(p, family, OperatorConfig("quadrature")),
                                         apply_tq(p, family, OperatorConfig("spectral"))))
@@ -235,16 +211,16 @@ def _cmd_verify(args) -> int:
         print(f"{name:<{width}}  measured={measured:.6g}  "
               f"threshold={threshold:.6g}  {'PASS' if ok else 'FAIL'}")
     out = Path(args.out)
-    with open(out, "w", newline="\n") as fh:
-        json.dump([{"check": n, "measured": m, "threshold": t, "pass": ok}
-                   for n, m, t, ok in checks], fh, indent=2)
-        fh.write("\n")
-    _write_manifest(args, [str(out)], started)
-    return EXIT_OK if all_ok else EXIT_INVARIANT
+    _write_json(out, [{"check": n, "measured": m, "threshold": t, "pass": ok}
+                      for n, m, t, ok in checks])
+    return EXIT_OK if all_ok else EXIT_INVARIANT, [str(out)]
 
 
-def _cmd_scan(args) -> int:
-    started = time.time()
+def _cmd_scan(args) -> tuple[int, list[str]]:
+    out = Path(args.out)
+    if out.suffix == ".csv":
+        raise _UsageError(f"--out {args.out} is where the CSV table goes; "
+                          "give the JSON report another suffix")
     grid = make_grid(20.0, 0.05)
     ledger = compute_constants(grid)
     cfg = ScanConfig(q_min=args.q_min, q_max=args.q_max, coarse_steps=args.steps,
@@ -252,11 +228,9 @@ def _cmd_scan(args) -> int:
                      per_solve=SolveConfig(max_iter=args.max_iter),
                      cold_check=args.cold_check)
     report = scan(cfg, grid, ledger)
-    out = Path(args.out)
     report.to_json(out)
     csv_path = out.with_suffix(".csv")
     report.to_csv(csv_path)
-    _write_manifest(args, [str(out), str(csv_path)], started)
     if report.q_star_bracket:
         lo, hi = report.q_star_bracket
         print(f"critical deformation bracket: [{lo:.6f}, {hi:.6f}]")
@@ -265,7 +239,7 @@ def _cmd_scan(args) -> int:
     if report.warm_cold_agree is False:
         print("WARNING: warm- and cold-started classifications disagree "
               "(hysteresis); inspect the per-sample tables", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK, [str(out), str(csv_path)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -274,7 +248,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         handler = {"solve": _cmd_solve, "constants": _cmd_constants,
                    "verify": _cmd_verify, "scan": _cmd_scan}[args.command]
-        return handler(args)
+        started = time.time()
+        code, outputs = handler(args)
+        _write_manifest(args, outputs, started)
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

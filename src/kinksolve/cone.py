@@ -32,12 +32,12 @@ reduces to one variable t = b/a in [-1, 1] and peaks at t = -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erf
 
-from .grid import GridSpec, Profile, odd_defect, sup_norm
+from .grid import GridSpec, Profile, json_field, odd_defect, sup_norm
 from .kernels import (
     K1_WEIGHTS,
     KernelFamily,
@@ -90,18 +90,13 @@ class ConstantsLedger:
 
     def to_json_dict(self) -> dict:
         d_grid = _C5_GRID.tolist()
-        return {
-            "b": self.b, "c0": self.c0, "e": self.e, "c_hat": self.c_hat,
-            "c1": self.c1, "c3": self.c3, "c4": self.c4, "ell": self.ell,
-            "c2": self.c2, "q0": self.q0,
-            "c5": {"grid": d_grid, "values": [c5_bound(d) for d in d_grid]},
-        }
+        return {**vars(self),
+                "c5": {"grid": d_grid, "values": [c5_bound(d) for d in d_grid]}}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstantsLedger":
         """Inverse of to_json_dict; the c5 table is derived, so it is not read."""
-        return cls(b=d["b"], c0=d["c0"], e=d["e"], c_hat=d["c_hat"], c1=d["c1"],
-                   c3=d["c3"], c4=d["c4"], ell=d["ell"], c2=d["c2"], q0=d["q0"])
+        return cls(**{f.name: json_field(d, f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

@@ -177,10 +177,19 @@ def profile_to_json_dict(p: Profile) -> dict:
     }
 
 
+def json_field(d: dict, key: str, convert: Callable = float):
+    """convert(d[key]); ValueError naming key when it is missing or not numeric."""
+    try:
+        return convert(d[key])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"JSON field {key!r} is missing or not numeric") from None
+
+
 def profile_from_json_dict(d: dict) -> Profile:
-    grid = make_grid(float(d["half_width"]), float(d["spacing"]))
-    return Profile(grid=grid, values=np.asarray(d["values"], dtype=float),
-                   tail_right=float(d["tail_right"]), tail_left=float(d["tail_left"]))
+    grid = make_grid(json_field(d, "half_width"), json_field(d, "spacing"))
+    values = json_field(d, "values", lambda v: np.asarray(v, dtype=float))
+    return Profile(grid=grid, values=values, tail_right=json_field(d, "tail_right"),
+                   tail_left=json_field(d, "tail_left"))
 
 
 def profile_to_json(p: Profile, path) -> None:

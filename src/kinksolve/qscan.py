@@ -5,10 +5,10 @@ right-boundary value exceeds 0.5, which separates the kink branch from both
 the zero solution and the sign-flipped attractors; non-convergence within
 the iteration budget counts as no-kink.  The coarse sweep warm-starts each
 solve from the previous converged solution; the bisection re-solves from
-the configured cold initial guess at every midpoint, because warm
-continuation can track a metastable oscillatory-tail branch well past the
-point where cold starts stop finding it, which would make the bracket
-depend on the coarse-grid layout.
+the cold erf initial guess at every midpoint, because warm continuation
+can track a metastable oscillatory-tail branch well past the point where
+cold starts stop finding it, which would make the bracket depend on the
+coarse-grid layout.
 """
 
 from __future__ import annotations
@@ -135,6 +135,8 @@ def _bisect(lo: float, hi: float, cfg: ScanConfig, grid: GridSpec,
             ledger: ConstantsLedger) -> tuple[float, float]:
     while hi - lo > cfg.bisect_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats
+            break
         report = solve(replace(cfg.per_solve, q=mid), grid, ledger)
         if _as_sample(mid, report).is_kink:
             lo = mid

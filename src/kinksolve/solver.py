@@ -56,8 +56,6 @@ class SolveConfig:
     damping: float = 1.0
     tol: float = 1e-12
     max_iter: int = 10000
-    init: str = "erf"
-    init_path: str | None = None
 
     def __post_init__(self) -> None:
         if not self.q >= 0.0:
@@ -68,8 +66,6 @@ class SolveConfig:
             raise ValueError("tol must be positive")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
-        if self.init not in ("erf", "sign", "from_file"):
-            raise ValueError(f"unknown initial guess {self.init!r}")
 
 
 @dataclass
@@ -94,17 +90,7 @@ class SolveReport:
 
     def to_json_dict(self, inline_profile: bool = True,
                      profile_path: str | None = None) -> dict:
-        d = {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "residual_trace": self.residual_trace,
-            "cone_member_final": self.cone_member_final,
-            "decay_estimate": self.decay_estimate,
-            "boundary_defect": self.boundary_defect,
-            "stop_reason": self.stop_reason,
-            "events": self.events,
-        }
+        d = {k: v for k, v in vars(self).items() if k != "solution"}
         if inline_profile:
             d["solution"] = profile_to_json_dict(self.solution)
         if profile_path is not None:
@@ -203,15 +189,15 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
           initial: Profile | None = None) -> SolveReport:
     """Iterate the map until the residual meets tol or max_iter is spent.
 
-    The start (`initial`, used for warm starts, or the configured guess) is
-    projected onto odd profiles once; ValueError is raised when it lives on
+    The start (`initial`, or the erf guess when it is None) is projected
+    onto odd profiles once; ValueError is raised when it lives on
     another grid than `grid` or when its tails are not opposite.  The
     default undamped iteration falls back to half damping when the residual
     has grown five steps in a row, and records that as an event.  The decay
     estimate needs a converged kink and a grid half-width above 8.
     """
     if initial is None:
-        initial = initial_guess(cfg_solve.init, grid, ledger, cfg_solve.init_path)
+        initial = initial_guess("erf", grid, ledger)
     _check_grid(initial, grid)
     u, tau = _odd_half(initial)
     op = build_operator(grid, KernelFamily(cfg_solve.q).weights, cfg_op)

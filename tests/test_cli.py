@@ -7,7 +7,8 @@ import pytest
 import scipy
 
 from kinksolve.cli import main
-from kinksolve.grid import Profile, profile_from_csv
+from kinksolve.grid import Profile, profile_from_csv, profile_to_csv
+from kinksolve.solver import SolveConfig, initial_guess, solve
 
 
 @pytest.fixture()
@@ -97,6 +98,31 @@ def test_solve_from_file_restart(workdir, ledger_file):
     assert report["iterations"] <= 2
 
 
+def test_init_sign_matches_library_start(workdir, ledger_file, default_grid, ledger):
+    assert main(["solve", "--q", "0.1", "--init", "sign", "--out", "sign.csv",
+                 "--ledger", str(ledger_file)]) == 0
+    expected = solve(SolveConfig(q=0.1), default_grid, ledger,
+                     initial=initial_guess("sign", default_grid, ledger)).solution
+    profile_to_csv(expected, workdir / "expected.csv")
+    assert (workdir / "sign.csv").read_bytes() == (workdir / "expected.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag, content, field", [
+    ("--ledger", "{}", "b"),
+    ("--ledger", '{"b": 1.0, "c0": null}', "c0"),
+    ("--init", "{}", "half_width"),
+    ("--init", '{"half_width": 20, "spacing": 0.05, "tail_right": 1, "tail_left": -1, '
+               '"values": {"a": 1}}', "values"),
+])
+def test_solve_malformed_json_input_exits_1(workdir, capsys, flag, content, field):
+    (workdir / "bad.json").write_text(content)
+    value = "bad.json" if flag == "--ledger" else "file:bad.json"
+    assert main(["solve", flag, value, "--out", "sol.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(field) in err
+    assert not (workdir / "sol.csv").exists()
+
+
 def test_init_psi_alias_matches_erf(workdir, ledger_file):
     # --init psi (and psi_scaled) name twice the Gaussian ramp, i.e. erf
     for init in ("erf", "psi", "psi_scaled"):
@@ -154,6 +180,18 @@ def test_constants_invariant_failure_exits_3(workdir, monkeypatch):
 
     monkeypatch.setattr(cli, "compute_constants", explode)
     assert main(["constants", "--out", "const.json"]) == 3
+
+
+def test_constants_invariant_failure_writes_no_manifest(workdir, monkeypatch):
+    from kinksolve import cli
+    from kinksolve.cone import LedgerInvariantError
+
+    def explode(*args, **kwargs):
+        raise LedgerInvariantError("doctored")
+
+    monkeypatch.setattr(cli, "compute_constants", explode)
+    assert main(["constants", "--out", "const.json"]) == 3
+    assert list(workdir.iterdir()) == []
 
 
 def test_verify_command_passes(workdir, capsys):
@@ -218,6 +256,31 @@ def test_scan_command(workdir):
     assert len(d["samples"]) == 3
     assert (workdir / "scan.csv").exists()
     assert (workdir / "scan.json.manifest.json").exists()
+
+
+def test_manifest_lists_outputs(workdir):
+    assert main(["scan", "--q-max", "0.27", "--steps", "1", "--max-iter", "2000",
+                 "--out", "scan.json"]) == 0
+    assert main(["constants", "--out", "const.json"]) == 0
+    scan_manifest = json.loads((workdir / "scan.json.manifest.json").read_text())
+    assert scan_manifest["outputs"] == ["scan.json", "scan.csv"]
+    const_manifest = json.loads((workdir / "const.json.manifest.json").read_text())
+    assert const_manifest["outputs"] == ["const.json"]
+
+
+def test_scan_out_with_csv_suffix_exits_1_before_solving(workdir, capsys, monkeypatch):
+    # the CSV table is written to --out with a .csv suffix, so a .csv --out
+    # would be overwritten by it
+    from kinksolve import cli
+
+    def explode(*args, **kwargs):
+        raise AssertionError("no work may start")
+
+    monkeypatch.setattr(cli, "compute_constants", explode)
+    monkeypatch.setattr(cli, "scan", explode)
+    assert main(["scan", "--out", "res.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(workdir.iterdir()) == []
 
 
 def test_reproducible_outputs(workdir, ledger_file):

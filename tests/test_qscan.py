@@ -1,9 +1,11 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from kinksolve import qscan
 from kinksolve.qscan import ScanConfig, ScanSample, scan
 from kinksolve.solver import SolveConfig
 
@@ -78,3 +80,22 @@ def test_scan_warm_start_reduces_iterations(default_grid, ledger):
     report = scan(cfg, default_grid, ledger)
     assert all(s.is_kink for s in report.samples)
     assert np.all([s.final_residual <= 1e-12 for s in report.samples])
+
+
+def test_bisection_stops_at_adjacent_floats(monkeypatch, default_grid, ledger):
+    # a tolerance below the float spacing at the threshold: the midpoint of
+    # two adjacent floats is one of them, and the loop must still return
+    calls = []
+
+    def fake(cfg, grid, ledger, initial=None):
+        calls.append(cfg.q)
+        amplitude = 1.0 if cfg.q < 2.6765 else 0.0
+        return SimpleNamespace(converged=True, final_residual=0.0,
+                               solution=SimpleNamespace(values=np.array([amplitude])))
+
+    monkeypatch.setattr(qscan, "solve", fake)
+    cfg = ScanConfig(2.25, 3.0, coarse_steps=1, bisect_tol=1e-300)
+    lo, hi = scan(cfg, default_grid, ledger).q_star_bracket
+    assert hi == np.nextafter(lo, np.inf)
+    assert lo < 2.6765 <= hi
+    assert len(calls) < 64

@@ -32,8 +32,11 @@ def test_solve_config_validation():
         SolveConfig(damping=1.5)
     with pytest.raises(ValueError):
         SolveConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolveConfig(init="bogus")
+
+
+def test_initial_guess_rejects_unknown_kind(default_grid, ledger):
+    with pytest.raises(ValueError, match="unknown initial guess"):
+        initial_guess("bogus", default_grid, ledger)
 
 
 def test_initial_guesses_are_cone_members(default_grid, ledger):
@@ -279,7 +282,7 @@ def test_solve_raises_on_non_finite_iterate(default_grid, ledger, method, amplit
 def _full_line_picard(cfg, grid, ledger, cfg_op):
     """Reference loop: full-line map, odd projection and damping fallback."""
     family = KernelFamily(cfg.q)
-    p = initial_guess(cfg.init, grid, ledger)
+    p = initial_guess("erf", grid, ledger)
     omega, trace, growth_streak = cfg.damping, [], 0
     for _ in range(cfg.max_iter):
         image = apply_pq(p, family, cfg_op)

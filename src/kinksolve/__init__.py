@@ -45,7 +45,6 @@ from .operators import (
     apply_tq,
     build_operator,
     psi,
-    signed_cube_root,
     t0_psi_analytic,
 )
 from .qscan import ScanConfig, ScanReport, ScanSample, scan
@@ -69,8 +68,7 @@ __all__ = [
     "sample", "sup_distance", "sup_norm",
     "KernelFamily", "eval_k0", "eval_k1", "fourier_symbol",
     "OperatorConfig", "apply_pq", "apply_t0", "apply_t1", "apply_tq",
-    "build_operator", "psi",
-    "signed_cube_root", "t0_psi_analytic",
+    "build_operator", "psi", "t0_psi_analytic",
     "ScanConfig", "ScanReport", "ScanSample", "scan",
     "DecayDiagnostic", "SolveConfig", "SolveReport", "decay_diagnostic",
     "initial_guess", "iterate_once", "solve",

@@ -228,7 +228,7 @@ def _cmd_scan(args) -> tuple[int, list[str]]:
                      per_solve=SolveConfig(max_iter=args.max_iter),
                      cold_check=args.cold_check)
     report = scan(cfg, grid, ledger)
-    report.to_json(out)
+    _write_json(out, report.to_json_dict())
     csv_path = out.with_suffix(".csv")
     report.to_csv(csv_path)
     if report.q_star_bracket:

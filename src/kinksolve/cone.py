@@ -37,7 +37,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import erf
 
-from .grid import GridSpec, Profile, json_field, odd_defect, sup_norm
+from .grid import (
+    GridSpec,
+    Profile,
+    json_field,
+    odd_defect,
+    odd_profile,
+    project_odd,
+    sup_norm,
+)
 from .kernels import (
     K1_WEIGHTS,
     KernelFamily,
@@ -261,7 +269,7 @@ def check_preservation(p: Profile, family: KernelFamily,
         raise ValueError("input profile is not a cone member")
     if family.q > ledger.q0:
         raise ValueError(f"deformation {family.q} exceeds admissible bound {ledger.q0}")
-    return check_cone(apply_pq(p, family), ledger)
+    return check_cone(apply_pq(project_odd(p), family), ledger)
 
 
 def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,
@@ -275,6 +283,7 @@ def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,
     """
     rng = np.random.default_rng(seed)
     x = grid.x
+    xp = x[grid.center_index + 1:]
     members = []
     envelope = np.exp(-((x / 5.0) ** 2))
     for _ in range(n):
@@ -283,11 +292,6 @@ def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,
             amp = rng.uniform(-0.03, 0.03)
             freq = rng.uniform(0.2, 2.0)
             ripple += amp * np.sin(freq * x) * envelope
-        v = erf(x) + ripple
-        v = np.clip(v, -ledger.c0, ledger.c0)
-        pos = slice(grid.center_index + 1, None)
-        v[pos] = np.maximum(v[pos], ledger.c2 * psi(x[pos]))
-        v[:grid.center_index] = -v[:grid.center_index:-1]
-        v[grid.center_index] = 0.0
-        members.append(Profile(grid=grid, values=v, tail_right=1.0, tail_left=-1.0))
+        u = np.clip(erf(x) + ripple, -ledger.c0, ledger.c0)[grid.center_index + 1:]
+        members.append(odd_profile(grid, np.maximum(u, ledger.c2 * psi(xp)), 1.0))
     return members

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -21,9 +21,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform symmetric grid: nodes j*spacing for j = -M..M, M*spacing = L."""
+    """Uniform symmetric grid: nodes j*spacing for j = -M..M, M*spacing = L.
 
-    half_width: float
+    Grids compare on spacing and n_points, the fields the nodes and the
+    operators read; half_width may carry the rounding of M*spacing.
+    """
+
+    half_width: float = field(compare=False)
     spacing: float
     n_points: int
 
@@ -107,6 +111,20 @@ def project_odd(p: Profile) -> Profile:
             f"odd projection needs opposite tails, got ({p.tail_left}, {p.tail_right})"
         )
     return p.with_values(0.5 * (p.values - p.values[::-1]))
+
+
+def odd_half(p: Profile) -> tuple[np.ndarray, float]:
+    """The values u on the positive nodes and the right tail tau of an odd
+    profile; ValueError unless p is odd to the bit."""
+    if p.tail_left != -p.tail_right or not np.array_equal(p.values, -p.values[::-1]):
+        raise ValueError("profile is not odd (values[-j] == -values[j], tails opposite)")
+    return p.values[p.grid.center_index + 1:], p.tail_right
+
+
+def odd_profile(grid: GridSpec, u: np.ndarray, tau: float) -> Profile:
+    """The odd profile with values u on the positive nodes and tails +-tau."""
+    return Profile(grid=grid, values=np.concatenate([-u[::-1], [0.0], u]),
+                   tail_right=tau, tail_left=-tau)
 
 
 def odd_defect(p: Profile) -> float:

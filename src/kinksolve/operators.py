@@ -6,10 +6,11 @@ mirrored); `build_operator(grid, weights, cfg)` precomputes everything that
 depends on the grid, the weights (a, b) of the kernel a K0 + b K1 and the
 configuration once and returns a callable mapping (u, tau) to the image on
 those nodes, so oddness holds by construction.  The Profile-level `apply_*`
-functions split a profile exactly into odd and even halves, push each
-through the same half-line code and mirror the images, so the discretization
-commutes with x -> -x bitwise (the cube root amplifies any stray asymmetry
-at the kink's zero crossing by |noise|^(-2/3)).
+functions take odd profiles only (ValueError otherwise): they read (u, tau)
+with `grid.odd_half`, push it through the same half-line code and mirror
+the image with `grid.odd_profile`, so the discretization commutes with
+x -> -x bitwise (the cube root amplifies any stray asymmetry at the kink's
+zero crossing by |noise|^(-2/3)).
 
 Two independent discretizations are provided:
 
@@ -36,7 +37,7 @@ from scipy.special import erf
 from scipy.special import gamma as _sp_gamma
 from scipy.special import zeta as _sp_zeta
 
-from .grid import GridSpec, Profile
+from .grid import GridSpec, Profile, odd_half, odd_profile
 from .kernels import (
     K0_WEIGHTS,
     K1_WEIGHTS,
@@ -102,12 +103,6 @@ def t0_psi_analytic(x):
     return float(out) if out.ndim == 0 else out
 
 
-def signed_cube_root(y):
-    """Odd real cube root sign(y) |y|^(1/3)."""
-    out = np.cbrt(np.asarray(y, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
 def _smooth_length(n: int) -> int:
     """Least 2^a 3^b 5^c >= n: the lengths at which the FFT is fast."""
     best = 1 << (n - 1).bit_length()
@@ -132,9 +127,9 @@ class _Quadrature:
     level (< 1e-16 at the window of 12) at both ends of every node's
     window and the trapezoid rule converges superalgebraically.  The
     'valid' convolution of that extension with the kernel row, started at
-    node 1 - m (odd) or -m (even), yields exactly the wanted outputs.  It
-    is taken as a product of spectra: the spectrum of h * row is computed
-    once, at a 5-smooth length N >= M + 2m + 1, and each application costs
+    node 1 - m, yields exactly the wanted outputs.  It is taken as a
+    product of spectra: the spectrum of h * row is computed once, at a
+    5-smooth length N >= M + 2m + 1, and each application costs
     one rfft/irfft pair of length N.  N is at least the extension's length,
     so the circular convolution has no wrap-around on the outputs 2m ..
     2m + k - 1 it keeps.  The kernel is a K0 + b K1 with weights (a, b); the
@@ -174,10 +169,8 @@ class _Quadrature:
         self.n_fft = _smooth_length(grid.center_index + 2 * m + 1)
         row = eval_kernel(np.arange(-m, m + 1) * h, weights)
         self.spectrum = np.fft.rfft(h * row, self.n_fft)
-        right = weights[0] - kernel_cumulative(m * h, weights)
-        left = kernel_cumulative(-m * h, weights)
-        self.odd_remainder = right - left
-        self.even_remainder = right + left
+        self.odd_remainder = (weights[0] - kernel_cumulative(m * h, weights)
+                              - kernel_cumulative(-m * h, weights))
         c = 5.0 - 4.0 * 2.0 ** (1.0 / 3.0) + 3.0 ** (1.0 / 3.0)
         self.cusp = (2.0 * _ZETA_M43 * h * h / c) * eval_kernel_derivative(
             grid.x[grid.center_index + 1:], weights)
@@ -197,12 +190,6 @@ class _Quadrature:
         out += (5.0 * u[0] - 4.0 * u[1] + u[2]) * self.cusp
         return out
 
-    def even(self, e: np.ndarray, tail: float) -> np.ndarray:
-        """Image on nodes 0..M of the even profile with values e there."""
-        pad = np.full(self.m, tail)
-        ext = np.concatenate([pad, e[:0:-1], e, pad])[len(e) - 1:]
-        return self._convolve(ext, len(e)) + tail * self.even_remainder
-
 
 class _Spectral:
     """Fourier-multiplier application after removing a non-decaying reference.
@@ -213,7 +200,7 @@ class _Spectral:
     truncation.  A Gaussian-smoothed step erf(a x) maps to erf(b x) with
     b = a / sqrt(1 + 4 a^2); the curvature part is minus its second
     derivative, (4 b^3 / sqrt(pi)) x exp(-b^2 x^2); constants are fixed.
-    The kernel's weights (w0, w1) weigh the two images; a constant c maps to w0 c.
+    The kernel's weights (w0, w1) weigh the two images.
     Each image is symmetrized on the periodic grid (x -> -x maps index i to
     (N - i) mod N).  The seam node x = -L of the odd extension is forced to
     zero (an odd periodic function must vanish there); the value it drops is
@@ -228,7 +215,6 @@ class _Spectral:
         self.symbol = fourier_symbol(k, weights)
         self.reference = erf(0.5 * x)
         (w0, w1), b = weights, _REF_B
-        self.mass = w0
         curvature = w1 * (4.0 * b**3 / _SQRT_PI) * x * np.exp(-(b * x) ** 2)
         self.reference_image = w0 * erf(b * x) + curvature
 
@@ -242,12 +228,6 @@ class _Spectral:
         c = self.c
         pos = np.append(0.5 * (img[c + 1:] - img[c - 1:0:-1]), 0.0)
         return pos + tau * self.reference_image
-
-    def even(self, e: np.ndarray, tail: float) -> np.ndarray:
-        """Image on nodes 0..M of the even profile with values e there."""
-        img = self._multiply(np.concatenate([e[:0:-1], e[:-1]]) - tail)
-        c = self.c
-        return np.append(0.5 * (img[c:] + img[c:0:-1]), img[0]) + self.mass * tail
 
 
 @lru_cache(maxsize=8)
@@ -266,35 +246,17 @@ def build_operator(grid: GridSpec, weights: tuple[float, float],
     return _Quadrature(grid, weights)
 
 
-def _apply(p: Profile, op) -> np.ndarray:
-    """Full-grid image of p: its odd and even halves through op, mirrored."""
-    c = p.grid.center_index
-    v = p.values
-    odd = 0.5 * (v[c + 1:] - v[c - 1::-1])
-    even = 0.5 * (v[c:] + v[c::-1])
-    tail_odd = 0.5 * (p.tail_right - p.tail_left)
-    tail_even = 0.5 * (p.tail_right + p.tail_left)
-    e = np.zeros(c + 1)
-    o = np.zeros(c)
-    if tail_even != 0.0 or np.any(even):
-        e = op.even(even, tail_even)
-    if tail_odd != 0.0 or np.any(odd):
-        o = op(odd, tail_odd)
-    return np.concatenate([e[:0:-1] - o[::-1], e[:1], e[1:] + o])
-
-
 def _apply_kernel(p: Profile, weights: tuple[float, float],
                   cfg: OperatorConfig = OperatorConfig()) -> Profile:
-    """p convolved with a K0 + b K1.  The kernel's mass is a, so a constant
-    tail t maps to a t; at a = 0 the tails are +0, whatever the sign of t."""
-    a = weights[0]
-    return Profile(grid=p.grid, values=_apply(p, build_operator(p.grid, weights, cfg)),
-                   tail_right=a * p.tail_right if a else 0.0,
-                   tail_left=a * p.tail_left if a else 0.0)
+    """The odd profile p convolved with a K0 + b K1.  The kernel's mass is
+    a, so the tail tau maps to a tau."""
+    u, tau = odd_half(p)
+    return odd_profile(p.grid, build_operator(p.grid, weights, cfg)(u, tau),
+                       weights[0] * tau)
 
 
 def apply_t0(p: Profile) -> Profile:
-    """Smooth a profile with the unit-mass Gaussian kernel, by quadrature.
+    """Smooth an odd profile with the unit-mass Gaussian kernel, by quadrature.
 
     Constants are fixed, so the output tails equal the input tails.
     """
@@ -302,29 +264,29 @@ def apply_t0(p: Profile) -> Profile:
 
 
 def apply_t1(p: Profile) -> Profile:
-    """Convolve a profile with the zero-mass curvature kernel, by quadrature.
+    """Convolve an odd profile with the zero-mass curvature kernel, by
+    quadrature.
 
     The kernel integrates to zero, so constants map to zero and the output
-    tails vanish: at x -> +-inf the value tends to tail * (total mass) = 0,
-    for equal-magnitude constant tails and for odd tail pairs alike.
+    tails vanish: at x -> +-inf the value tends to tail * (total mass) = 0.
     """
     return _apply_kernel(p, K1_WEIGHTS)
 
 
 def apply_tq(p: Profile, family: KernelFamily,
              cfg: OperatorConfig = OperatorConfig()) -> Profile:
-    """Apply the combined linear operator (Gaussian + q^2 curvature)."""
+    """Apply the combined linear operator (Gaussian + q^2 curvature) to an
+    odd profile."""
     return _apply_kernel(p, family.weights, cfg)
 
 
 def apply_pq(p: Profile, family: KernelFamily,
              cfg: OperatorConfig = OperatorConfig()) -> Profile:
-    """Nonlinear map: odd cube root of the linear image.
+    """Nonlinear map: odd cube root of the linear image of the odd profile p.
 
     Constant tails +-c map to +-c^(1/3) because the Gaussian part preserves
     constants and the curvature part annihilates them at infinity.
     """
-    tq = apply_tq(p, family, cfg)
-    return Profile(grid=p.grid, values=np.cbrt(tq.values),
-                   tail_right=signed_cube_root(tq.tail_right),
-                   tail_left=signed_cube_root(tq.tail_left))
+    u, tau = odd_half(p)
+    image = build_operator(p.grid, family.weights, cfg)(u, tau)
+    return odd_profile(p.grid, np.cbrt(image), float(np.cbrt(tau)))

@@ -14,7 +14,6 @@ coarse-grid layout.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,11 +74,6 @@ class ScanReport:
             d["cold_samples"] = [vars(s) for s in self.cold_samples]
             d["warm_cold_agree"] = self.warm_cold_agree
         return d
-
-    def to_json(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

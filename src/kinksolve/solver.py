@@ -27,6 +27,8 @@ from .cone import ConstantsLedger, c5_bound, check_cone
 from .grid import (
     GridSpec,
     Profile,
+    odd_half,
+    odd_profile,
     profile_from_csv,
     profile_from_json,
     profile_to_json_dict,
@@ -126,10 +128,10 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
              else profile_from_csv(path, tail_right=1.0, tail_left=-1.0))
         _check_grid(p, grid)
     elif kind == "erf":
-        p = _odd_profile(grid, erf(grid.x[grid.center_index + 1:]), 1.0)
+        p = odd_profile(grid, erf(grid.x[grid.center_index + 1:]), 1.0)
     elif kind == "sign":
         xp = grid.x[grid.center_index + 1:]
-        p = _odd_profile(grid, np.minimum(xp / SIGN_RAMP_HALF_WIDTH, 1.0), 1.0)
+        p = odd_profile(grid, np.minimum(xp / SIGN_RAMP_HALF_WIDTH, 1.0), 1.0)
     else:
         raise ValueError(f"unknown initial guess {kind!r}")
 
@@ -145,18 +147,6 @@ def _check_grid(p: Profile, grid: GridSpec) -> None:
         raise ValueError(
             f"profile grid (L={p.grid.half_width}, h={p.grid.spacing}) does not "
             f"match the requested grid (L={grid.half_width}, h={grid.spacing})")
-
-
-def _odd_profile(grid: GridSpec, u: np.ndarray, tau: float) -> Profile:
-    """The odd profile with values u on the positive nodes and tails +-tau."""
-    return Profile(grid=grid, values=np.concatenate([-u[::-1], [0.0], u]),
-                   tail_right=tau, tail_left=-tau)
-
-
-def _odd_half(p: Profile) -> tuple[np.ndarray, float]:
-    """Positive-node values and right tail of the odd projection of p."""
-    odd = project_odd(p)
-    return odd.values[p.grid.center_index + 1:], odd.tail_right
 
 
 def _step(op, u: np.ndarray, tau: float) -> tuple[np.ndarray, float, float]:
@@ -177,11 +167,11 @@ def _mix(a, b, omega: float):
 def iterate_once(p: Profile, cfg_solve: SolveConfig) -> Profile:
     """One damped step on the odd projection of p: mix it with its image
     under the map at q = cfg_solve.q."""
-    u, tau = _odd_half(p)
+    u, tau = odd_half(project_odd(p))
     op = build_operator(p.grid, KernelFamily(cfg_solve.q).weights)
     image, image_tau, _ = _step(op, u, tau)
     omega = cfg_solve.damping
-    return _odd_profile(p.grid, _mix(u, image, omega), _mix(tau, image_tau, omega))
+    return odd_profile(p.grid, _mix(u, image, omega), _mix(tau, image_tau, omega))
 
 
 def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
@@ -199,7 +189,7 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     if initial is None:
         initial = initial_guess("erf", grid, ledger)
     _check_grid(initial, grid)
-    u, tau = _odd_half(initial)
+    u, tau = odd_half(project_odd(initial))
     op = build_operator(grid, KernelFamily(cfg_solve.q).weights, cfg_op)
 
     omega = cfg_solve.damping
@@ -225,7 +215,7 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
             growth_streak = 0
         u, tau = _mix(u, image, omega), _mix(tau, image_tau, omega)
 
-    p = _odd_profile(grid, u, tau)
+    p = odd_profile(grid, u, tau)
     decay, l0 = None, 2.0
     if converged and tau == 1.0 and l0 < grid.half_width / 4.0:
         decay = decay_diagnostic(p, ledger, l0).ratio

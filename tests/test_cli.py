@@ -98,6 +98,13 @@ def test_solve_from_file_restart(workdir, ledger_file):
     assert report["iterations"] <= 2
 
 
+def test_solve_restarts_from_its_own_csv_on_a_rounded_grid(workdir):
+    # the CSV's last node is 100 * 0.07 = 7.000000000000001, not 7
+    assert main(["solve", "--L", "7", "--h", "0.07", "--out", "s7.csv"]) == 0
+    assert main(["solve", "--L", "7", "--h", "0.07", "--init", "file:s7.csv",
+                 "--out", "r7.csv"]) == 0
+
+
 def test_init_sign_matches_library_start(workdir, ledger_file, default_grid, ledger):
     assert main(["solve", "--q", "0.1", "--init", "sign", "--out", "sign.csv",
                  "--ledger", str(ledger_file)]) == 0

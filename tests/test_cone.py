@@ -6,6 +6,7 @@ import pytest
 from scipy.special import erf
 
 from kinksolve.cone import (
+    ODD_TOL,
     ConstantsLedger,
     LedgerInvariantError,
     _holder_ratio,
@@ -16,7 +17,7 @@ from kinksolve.cone import (
     random_cone_members,
     validate_ledger,
 )
-from kinksolve.grid import GridSpec, Profile, sample
+from kinksolve.grid import GridSpec, Profile, odd_defect, sample
 from kinksolve.kernels import KernelFamily, kq_abs_mass, kq_derivative_abs_mass
 from kinksolve.operators import psi, t0_psi_analytic
 from kinksolve.solver import initial_guess
@@ -208,6 +209,17 @@ def test_random_members_preserved_across_q(default_grid, ledger):
     for q in [0.0, ledger.q0 / 2.0, ledger.q0]:
         fam = KernelFamily(q)
         assert all(check_preservation(m, fam, ledger).member for m in members)
+
+
+def test_preservation_reports_on_member_odd_within_tolerance(default_grid, ledger):
+    # check_cone admits an oddness defect up to ODD_TOL; the map then sees
+    # the member's odd projection
+    member = random_cone_members(1, default_grid, ledger, seed=3)[0]
+    values = member.values.copy()
+    values[default_grid.center_index + 5] += 1e-14
+    p = member.with_values(values)
+    assert 0.0 < odd_defect(p) <= ODD_TOL
+    assert check_preservation(p, KernelFamily(0.0), ledger).member
 
 
 def test_sup_bound_chain(default_grid, ledger):

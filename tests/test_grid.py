@@ -9,6 +9,8 @@ from kinksolve.grid import (
     Profile,
     make_grid,
     odd_defect,
+    odd_half,
+    odd_profile,
     profile_from_csv,
     profile_from_json,
     profile_to_csv,
@@ -115,6 +117,16 @@ def test_project_odd_rejects_mismatched_tails():
         project_odd(p)
 
 
+def test_odd_codec_round_trip_is_exact():
+    g = make_grid(20.0, 0.05)
+    p = sample(lambda x: erf(x), g, 1.0, -1.0)
+    u, tau = odd_half(p)
+    assert np.array_equal(u, erf(g.x[g.center_index + 1:])) and tau == 1.0
+    q = odd_profile(g, u, tau)
+    assert np.array_equal(q.values, p.values)
+    assert (q.tail_right, q.tail_left) == (1.0, -1.0)
+
+
 def test_sup_norm_includes_tails():
     g = make_grid(20.0, 0.05)
     p = Profile(grid=g, values=np.zeros(g.n_points), tail_right=2.0, tail_left=-2.0)
@@ -173,6 +185,16 @@ def test_csv_round_trip_exact(tmp_path):
     assert q.grid == p.grid
     assert np.all(q.values == p.values)
     assert (q.tail_right, q.tail_left) == (1.0, -1.0)
+
+
+def test_csv_round_trip_keeps_a_rounded_grid(tmp_path):
+    # the last node 100 * 0.07 = 7.000000000000001 is the half-width read back
+    g = make_grid(7.0, 0.07)
+    path = tmp_path / "profile.csv"
+    profile_to_csv(sample(lambda x: erf(x), g, 1.0, -1.0), path)
+    q = profile_from_csv(path)
+    assert q.grid.half_width != g.half_width
+    assert q.grid == g
 
 
 def test_csv_default_tails_from_endpoints(tmp_path):

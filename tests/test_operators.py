@@ -6,12 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from kinksolve.grid import Profile, make_grid, odd_defect, sample, sup_distance, sup_norm
+from kinksolve.grid import (
+    Profile,
+    make_grid,
+    odd_defect,
+    odd_half,
+    sample,
+    sup_distance,
+    sup_norm,
+)
 from kinksolve.kernels import K0_WEIGHTS, K1_WEIGHTS, KernelFamily, eval_kernel
 from kinksolve.operators import (
     OperatorConfig,
     _Quadrature,
-    _apply,
     _smooth_length,
     apply_pq,
     apply_t0,
@@ -19,11 +26,14 @@ from kinksolve.operators import (
     apply_tq,
     build_operator,
     psi,
-    signed_cube_root,
     t0_psi_analytic,
 )
 
 CUBE_ROOT_HOLDER = 2.0 ** (2.0 / 3.0)
+
+#: Nodes with |x| >= FAR_X see only the constant part of odd_ramp through the
+#: kernel window of 12.
+FAR_X = 14.0
 
 
 def _quadrature_abs_k1():
@@ -42,16 +52,22 @@ def odd_bandlimited(grid, seed, n_modes=3, amp=0.1, envelope_scale=4.0):
     return Profile(grid=grid, values=v, tail_right=0.0, tail_left=0.0)
 
 
+def odd_ramp(grid):
+    """Odd clipped ramp with tails +-1: equal to sign(x) for |x| >= 2."""
+    return sample(lambda x: np.clip(x / 2.0, -1.0, 1.0), grid, 1.0, -1.0)
+
+
 def test_operator_config_validation():
     with pytest.raises(ValueError):
         OperatorConfig(method="bogus")
 
 
 def test_t0_fixes_constants(default_grid):
-    one = sample(lambda x: np.ones_like(np.asarray(x, float)), default_grid, 1.0, 1.0)
-    out = apply_t0(one)
-    assert np.max(np.abs(out.values - 1.0)) < 1e-12
-    assert (out.tail_right, out.tail_left) == (1.0, 1.0)
+    ramp = odd_ramp(default_grid)
+    far = np.abs(default_grid.x) >= FAR_X
+    out = apply_t0(ramp)
+    assert np.max(np.abs(out.values[far] - ramp.values[far])) < 1e-12
+    assert (out.tail_right, out.tail_left) == (1.0, -1.0)
 
 
 def test_t0_matches_analytic_ramp_image(default_grid):
@@ -67,9 +83,9 @@ def test_t0_preserves_oddness(default_grid):
 
 
 def test_t1_kills_constants(default_grid):
-    one = sample(lambda x: np.ones_like(np.asarray(x, float)), default_grid, 1.0, 1.0)
-    out = apply_t1(one)
-    assert np.max(np.abs(out.values)) < 1e-12
+    far = np.abs(default_grid.x) >= FAR_X
+    out = apply_t1(odd_ramp(default_grid))
+    assert np.max(np.abs(out.values[far])) < 1e-12
     assert (out.tail_right, out.tail_left) == (0.0, 0.0)
 
 
@@ -95,10 +111,11 @@ def test_tq_at_q0_equals_t0(default_grid):
 
 
 def test_tq_unit_mass_for_all_q(default_grid):
-    one = sample(lambda x: np.ones_like(np.asarray(x, float)), default_grid, 1.0, 1.0)
+    ramp = odd_ramp(default_grid)
+    far = np.abs(default_grid.x) >= FAR_X
     for q in [0.25, 0.5, 1.0]:
-        out = apply_tq(one, KernelFamily(q))
-        assert np.max(np.abs(out.values - 1.0)) < 1e-12
+        out = apply_tq(ramp, KernelFamily(q))
+        assert np.max(np.abs(out.values[far] - ramp.values[far])) < 1e-12
 
 
 def test_quadrature_vs_spectral_on_erf(default_grid):
@@ -110,20 +127,20 @@ def test_quadrature_vs_spectral_on_erf(default_grid):
 
 
 def test_t1_quadrature_vs_spectral(default_grid):
-    # the curvature kernel alone, odd and even halves (tanh + Gaussian bump,
-    # the constant) alike
+    # the curvature kernel alone, on half-line images
     grid = default_grid
     profiles = [
         sample(lambda x: erf(x), grid, 1.0, -1.0),
         sample(np.tanh, grid, 1.0, -1.0),
         sample(psi, grid, 0.5, -0.5),
-        sample(lambda x: np.tanh(x) + 0.1 * np.exp(-x * x), grid, 1.0, -1.0),
-        sample(lambda x: np.ones_like(x), grid, 1.0, 1.0),
+        sample(lambda x: np.tanh(x) + 0.1 * x * np.exp(-x * x), grid, 1.0, -1.0),
+        odd_ramp(grid),
     ]
     quadrature, spectral = (build_operator(grid, K1_WEIGHTS, OperatorConfig(m))
                             for m in ("quadrature", "spectral"))
     for p in profiles:
-        assert np.max(np.abs(_apply(p, quadrature) - _apply(p, spectral))) <= 1e-8
+        u, tau = odd_half(p)
+        assert np.max(np.abs(quadrature(u, tau) - spectral(u, tau))) <= 1e-8
 
 
 def test_operator_memo_is_keyed_on_weights(default_grid):
@@ -189,17 +206,17 @@ def test_analytic_ramp_image_properties():
 
 
 def test_signed_cube_root_values():
-    assert signed_cube_root(0.0) == 0.0
-    assert signed_cube_root(1.0) == 1.0
-    assert signed_cube_root(-8.0) == -2.0
-    assert signed_cube_root(0.027) == pytest.approx(0.3, rel=1e-15)
+    assert np.cbrt(0.0) == 0.0
+    assert np.cbrt(1.0) == 1.0
+    assert np.cbrt(-8.0) == -2.0
+    assert np.cbrt(0.027) == pytest.approx(0.3, rel=1e-15)
 
 
 @given(st.floats(min_value=-100, max_value=100, allow_nan=False),
        st.floats(min_value=-100, max_value=100, allow_nan=False))
 @settings(max_examples=500, deadline=None)
 def test_signed_cube_root_holder_property(a, b):
-    lhs = abs(signed_cube_root(a) - signed_cube_root(b))
+    lhs = abs(np.cbrt(a) - np.cbrt(b))
     rhs = CUBE_ROOT_HOLDER * abs(a - b) ** (1.0 / 3.0)
     assert lhs <= rhs * (1.0 + 1e-12) + 1e-15
 
@@ -207,15 +224,17 @@ def test_signed_cube_root_holder_property(a, b):
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 @settings(max_examples=300, deadline=None)
 def test_signed_cube_root_odd_and_monotone(y):
-    assert signed_cube_root(-y) == -signed_cube_root(y)
-    assert signed_cube_root(y + 1.0) > signed_cube_root(y)
+    assert np.cbrt(-y) == -np.cbrt(y)
+    assert np.cbrt(y + 1.0) > np.cbrt(y)
 
 
 def test_pq_fixes_unit_constant(default_grid):
-    one = sample(lambda x: np.ones_like(np.asarray(x, float)), default_grid, 1.0, 1.0)
+    ramp = odd_ramp(default_grid)
+    far = np.abs(default_grid.x) >= FAR_X
     for q in [0.0, 0.6]:
-        out = apply_pq(one, KernelFamily(q))
-        assert sup_distance(out, one) < 1e-12
+        out = apply_pq(ramp, KernelFamily(q))
+        assert np.max(np.abs(out.values[far] - ramp.values[far])) < 1e-12
+        assert (out.tail_right, out.tail_left) == (ramp.tail_right, ramp.tail_left)
 
 
 def test_pq_fixes_zero(default_grid):
@@ -250,8 +269,9 @@ def test_half_line_operator_is_positive_half_of_tq(default_grid, method):
 @pytest.mark.parametrize("method", ["quadrature", "spectral"])
 def test_memoised_operator_images_match_fresh_build(default_grid, method):
     # build_operator keeps recent operators; the uncached build is the oracle
-    p = sample(lambda x: np.cbrt(np.tanh(x)) + 0.1 * np.exp(-x * x), default_grid,
+    p = sample(lambda x: np.cbrt(np.tanh(x)) + 0.1 * x * np.exp(-x * x), default_grid,
                1.0, -1.0)
+    c = default_grid.center_index
     cfg = OperatorConfig(method)
     for q in (0.0, 0.2):
         family = KernelFamily(q)
@@ -259,7 +279,8 @@ def test_memoised_operator_images_match_fresh_build(default_grid, method):
             default_grid, family.weights, cfg)
         fresh = build_operator.__wrapped__(default_grid, family.weights, cfg)
         for _ in range(2):
-            assert np.array_equal(apply_tq(p, family, cfg).values, _apply(p, fresh))
+            assert np.array_equal(apply_tq(p, family, cfg).values[c + 1:],
+                                  fresh(*odd_half(p)))
 
 
 def _is_smooth(n):
@@ -289,18 +310,30 @@ def test_quadrature_spectrum_matches_direct_convolution(half_width, spacing, wei
     h, m, c = spacing, op.m, grid.center_index
     assert op.n_fft >= c + 2 * m + 1
     row = eval_kernel(np.arange(-m, m + 1) * h, weights)
-    x = grid.x[c:]
-    u, tau = np.cbrt(np.tanh(x[1:])) + 0.05 * np.sin(3.0 * x[1:]), 1.0
+    x = grid.x[c + 1:]
+    u, tau = np.cbrt(np.tanh(x)) + 0.05 * np.sin(3.0 * x), 1.0
     tail = np.full(m, tau)
     ext = np.concatenate([-tail, -u[::-1], [0.0], u, tail])[len(u) + 1:]
     odd = (h * np.convolve(ext, row, "valid") + tau * op.odd_remainder
            + (5.0 * u[0] - 4.0 * u[1] + u[2]) * op.cusp)
     assert np.max(np.abs(op(u, tau) - odd)) <= 1e-13
-    e, tail_even = np.exp(-x * x) + 0.5, 0.5
-    pad = np.full(m, tail_even)
-    ext = np.concatenate([pad, e[:0:-1], e, pad])[len(e) - 1:]
-    even = h * np.convolve(ext, row, "valid") + tail_even * op.even_remainder
-    assert np.max(np.abs(op.even(e, tail_even) - even)) <= 1e-13
+
+
+@pytest.mark.parametrize("apply", [
+    apply_t0, apply_t1,
+    lambda p: apply_tq(p, KernelFamily(0.5)),
+    lambda p: apply_pq(p, KernelFamily(0.5)),
+], ids=["t0", "t1", "tq", "pq"])
+def test_profile_operators_reject_profiles_that_are_not_odd(default_grid, apply):
+    p = sample(lambda x: erf(x), default_grid, 1.0, -1.0)
+    with pytest.raises(ValueError):
+        apply(Profile(grid=default_grid, values=p.values, tail_right=1.0, tail_left=1.0))
+    c = default_grid.center_index
+    for node, value in ((c + 7, p.values[c + 7] + 1e-14), (c, 1e-300)):
+        values = p.values.copy()
+        values[node] = value
+        with pytest.raises(ValueError):
+            apply(p.with_values(values))
 
 
 def test_pq_tail_mapping(default_grid):

@@ -58,7 +58,7 @@ def test_scan_serialization(tmp_path, default_grid, ledger):
                      per_solve=SolveConfig(max_iter=2000))
     report = scan(cfg, default_grid, ledger)
     json_path = tmp_path / "scan.json"
-    report.to_json(json_path)
+    json_path.write_text(json.dumps(report.to_json_dict()))
     d = json.loads(json_path.read_text())
     assert len(d["samples"]) == 3
     assert d["q_star_bracket"] is None

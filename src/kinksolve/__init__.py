@@ -49,10 +49,9 @@ from .operators import (
 )
 from .qscan import ScanConfig, ScanReport, ScanSample, scan
 from .solver import (
-    DecayDiagnostic,
     SolveConfig,
     SolveReport,
-    decay_diagnostic,
+    decay_ratio,
     initial_guess,
     iterate_once,
     solve,
@@ -70,6 +69,6 @@ __all__ = [
     "OperatorConfig", "apply_pq", "apply_t0", "apply_t1", "apply_tq",
     "build_operator", "psi", "t0_psi_analytic",
     "ScanConfig", "ScanReport", "ScanSample", "scan",
-    "DecayDiagnostic", "SolveConfig", "SolveReport", "decay_diagnostic",
+    "SolveConfig", "SolveReport", "decay_ratio",
     "initial_guess", "iterate_once", "solve",
 ]

@@ -149,10 +149,10 @@ def _cmd_solve(args) -> tuple[int, list[str]]:
     report_path = out.with_name(out.name + ".report.json")
     if args.format == "csv":
         profile_to_csv(report.solution, out)
-        report_dict = report.to_json_dict(inline_profile=False, profile_path=out.name)
+        report_dict = report.to_json_dict(solution_csv=out.name)
     else:
         profile_to_json(report.solution, out)
-        report_dict = report.to_json_dict(inline_profile=True)
+        report_dict = report.to_json_dict()
     _write_json(report_path, report_dict)
 
     print(f"q={args.q}: converged={report.converged} "

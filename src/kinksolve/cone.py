@@ -168,7 +168,7 @@ def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0) -> ConstantsL
     c4 = max(slope_bound / ramp_slope_inf, level_bound / ramp_level_inf)
 
     ell = 2.0 ** (2.0 / 3.0)
-    xp = grid.x[grid.center_index + 1:]
+    xp = grid.x_half
     ramp = psi(xp)
     if float(np.min(np.cbrt(ramp) / ramp)) < ell - 1e-12:
         raise LedgerInvariantError("ramp cube-root lower bound fails on the grid")
@@ -246,7 +246,7 @@ def check_cone(p: Profile, ledger: ConstantsLedger) -> ConeReport:
     defect = odd_defect(p)
     is_odd = defect <= ODD_TOL
 
-    xp = g.x[g.center_index + 1:]
+    xp = g.x_half
     margin = float(np.min(v[g.center_index + 1:] - ledger.c2 * psi(xp)))
     margin = min(margin, p.tail_right - ledger.c2 * 0.5)
     is_above_psi = margin >= -MEMBERSHIP_SLACK
@@ -283,7 +283,7 @@ def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,
     """
     rng = np.random.default_rng(seed)
     x = grid.x
-    xp = x[grid.center_index + 1:]
+    xp = grid.x_half
     members = []
     envelope = np.exp(-((x / 5.0) ** 2))
     for _ in range(n):

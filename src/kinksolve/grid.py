@@ -40,6 +40,11 @@ class GridSpec:
     def center_index(self) -> int:
         return (self.n_points - 1) // 2
 
+    @property
+    def x_half(self) -> np.ndarray:
+        """The positive nodes, a view of x."""
+        return self.x[self.center_index + 1:]
+
 
 def make_grid(half_width: float, spacing: float) -> GridSpec:
     """Build a GridSpec, rejecting non-commensurate or out-of-range parameters.
@@ -49,8 +54,8 @@ def make_grid(half_width: float, spacing: float) -> GridSpec:
     """
     half_width = float(half_width)
     spacing = float(spacing)
-    if not half_width >= 5.0:
-        raise ValueError(f"half_width must be >= 5, got {half_width}")
+    if not 5.0 <= half_width < math.inf:
+        raise ValueError(f"half_width must be finite and >= 5, got {half_width}")
     if not 0.0 < spacing <= 0.5:
         raise ValueError(f"spacing must be in (0, 0.5], got {spacing}")
     ratio = half_width / spacing
@@ -168,7 +173,11 @@ def profile_from_csv(path, tail_right: float | None = None,
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["x", "phi"]:
             raise ValueError(f"{path}: expected CSV header 'x,phi'")
-        rows = [(float(a), float(b)) for a, b in reader]
+        try:
+            rows = [(float(a), float(b)) for a, b in reader]
+        except ValueError:
+            raise ValueError(f"{path}: line {reader.line_num}: "
+                             "expected two numbers x,phi") from None
     if len(rows) < 3:
         raise ValueError(f"{path}: too few rows for a profile")
     x = np.array([r[0] for r in rows])

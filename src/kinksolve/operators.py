@@ -173,7 +173,7 @@ class _Quadrature:
                               - kernel_cumulative(-m * h, weights))
         c = 5.0 - 4.0 * 2.0 ** (1.0 / 3.0) + 3.0 ** (1.0 / 3.0)
         self.cusp = (2.0 * _ZETA_M43 * h * h / c) * eval_kernel_derivative(
-            grid.x[grid.center_index + 1:], weights)
+            grid.x_half, weights)
 
     def _convolve(self, ext: np.ndarray, k: int) -> np.ndarray:
         """The k 'valid' outputs of the convolution of ext with h * row."""
@@ -208,10 +208,9 @@ class _Spectral:
     """
 
     def __init__(self, grid: GridSpec, weights: tuple[float, float]) -> None:
-        c = grid.center_index
-        x = grid.x[c + 1:]
+        x = grid.x_half
         k = 2.0 * math.pi * np.fft.rfftfreq(grid.n_points - 1, d=grid.spacing)
-        self.c = c
+        self.c = grid.center_index
         self.symbol = fourier_symbol(k, weights)
         self.reference = erf(0.5 * x)
         (w0, w1), b = weights, _REF_B

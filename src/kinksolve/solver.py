@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
-from .cone import ConstantsLedger, c5_bound, check_cone
+from .cone import ConstantsLedger, check_cone
 from .grid import (
     GridSpec,
     Profile,
@@ -35,7 +35,7 @@ from .grid import (
     project_odd,
 )
 from .kernels import KernelFamily
-from .operators import OperatorConfig, build_operator, psi
+from .operators import OperatorConfig, build_operator
 
 #: Half-width of the linear ramp used by the piecewise-sign initial guess.
 #: One grid cell is far too steep for the cone's modulus constant (a ramp of
@@ -46,7 +46,7 @@ SIGN_RAMP_HALF_WIDTH = 1.2
 #: Deltas below this are treated as exactly saturated by the decay fit.
 _DECAY_FLOOR = 1e-15
 
-#: Spacing of the decay fit's cutoffs l0, l0 + step, ...
+#: Spacing of the decay fit's cutoffs, which are 2, 4, ... up to L/2.
 _DECAY_STEP = 2.0
 
 
@@ -90,25 +90,14 @@ class SolveReport:
     stop_reason: str
     events: list[dict]
 
-    def to_json_dict(self, inline_profile: bool = True,
-                     profile_path: str | None = None) -> dict:
+    def to_json_dict(self, solution_csv: str | None = None) -> dict:
+        """The fields, with the solution inline or named by solution_csv."""
         d = {k: v for k, v in vars(self).items() if k != "solution"}
-        if inline_profile:
+        if solution_csv is None:
             d["solution"] = profile_to_json_dict(self.solution)
-        if profile_path is not None:
-            d["solution_csv"] = str(profile_path)
+        else:
+            d["solution_csv"] = solution_csv
         return d
-
-
-@dataclass
-class DecayDiagnostic:
-    """Measured geometric decay of the boundary defect past growing cutoffs."""
-
-    ratio: float
-    degenerate: bool
-    cutoffs: list[float] = field(default_factory=list)
-    deltas: list[float] = field(default_factory=list)
-    reference_bound: float = float("nan")
 
 
 def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
@@ -128,10 +117,9 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
              else profile_from_csv(path, tail_right=1.0, tail_left=-1.0))
         _check_grid(p, grid)
     elif kind == "erf":
-        p = odd_profile(grid, erf(grid.x[grid.center_index + 1:]), 1.0)
+        p = odd_profile(grid, erf(grid.x_half), 1.0)
     elif kind == "sign":
-        xp = grid.x[grid.center_index + 1:]
-        p = odd_profile(grid, np.minimum(xp / SIGN_RAMP_HALF_WIDTH, 1.0), 1.0)
+        p = odd_profile(grid, np.minimum(grid.x_half / SIGN_RAMP_HALF_WIDTH, 1.0), 1.0)
     else:
         raise ValueError(f"unknown initial guess {kind!r}")
 
@@ -216,16 +204,13 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
         u, tau = _mix(u, image, omega), _mix(tau, image_tau, omega)
 
     p = odd_profile(grid, u, tau)
-    decay, l0 = None, 2.0
-    if converged and tau == 1.0 and l0 < grid.half_width / 4.0:
-        decay = decay_diagnostic(p, ledger, l0).ratio
     return SolveReport(
         converged=converged,
         iterations=len(trace),
         final_residual=residual,
         residual_trace=trace,
         cone_member_final=check_cone(p, ledger).member,
-        decay_estimate=decay,
+        decay_estimate=decay_ratio(p) if converged and tau == 1.0 else None,
         solution=p,
         boundary_defect=abs(u[-1] - tau),
         stop_reason="converged" if converged else "budget",
@@ -233,41 +218,23 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     )
 
 
-def decay_diagnostic(p: Profile, ledger: ConstantsLedger,
-                     l0: float) -> DecayDiagnostic:
-    """Geometric decay rate of sup_{x > l} |1 - p(x)| over growing cutoffs.
-
-    Returns the fitted ratio of successive defects for cutoffs l0,
-    l0 + _DECAY_STEP, ...; for a solution the ratio must fall below 1, and
-    is compared against the square root of the cube-root contraction factor at
-    D1 = (1/2) c2 psi(l0).  Degenerate (ratio 0, flag set) when the profile
-    is already saturated at +-1 beyond l0.
-    """
+def decay_ratio(p: Profile) -> float | None:
+    """Geometric mean ratio of successive sup_{x > l} |1 - p(x)| over the
+    cutoffs l = 2, 4, ..., L/2 of the odd profile p (ValueError unless p is
+    odd to the bit): below 1 for a kink, 0.0 when p is saturated at +-1
+    beyond x = 2, and None when L <= 8, where 2 is not below L/4."""
     g = p.grid
-    if not l0 < g.half_width / 4.0:
-        raise ValueError("l0 must stay below a quarter of the grid half-width")
-    d1 = 0.5 * ledger.c2 * psi(l0)
-    bound = math.sqrt(c5_bound(d1))
-
-    cutoffs: list[float] = []
-    deltas: list[float] = []
-    cut = float(l0)
-    while cut <= g.half_width / 2.0:
-        sel = g.x > cut
-        dval = float(np.max(np.abs(1.0 - p.values[sel]))) if np.any(sel) else 0.0
-        dval = max(dval, abs(1.0 - p.tail_right))
-        cutoffs.append(cut)
-        deltas.append(dval)
-        cut += _DECAY_STEP
-
-    live = [d for d in deltas if d > _DECAY_FLOOR]
-    if not live or deltas[0] <= _DECAY_FLOOR:
-        return DecayDiagnostic(ratio=0.0, degenerate=True, cutoffs=cutoffs,
-                               deltas=deltas, reference_bound=bound)
+    if not _DECAY_STEP < g.half_width / 4.0:
+        return None
+    u, tau = odd_half(p)
+    beyond = np.maximum.accumulate(np.abs(1.0 - u)[::-1])[::-1]
+    cuts = _DECAY_STEP * np.arange(1, g.half_width // (2.0 * _DECAY_STEP) + 1)
+    first = np.searchsorted(g.x_half, cuts, side="right")
+    deltas = np.maximum(beyond[first], abs(1.0 - tau))
+    # the deltas never increase, so those above the floor are a prefix
+    live = deltas[deltas > _DECAY_FLOOR]
+    if len(live) == 0:
+        return 0.0
     if len(live) == 1:
-        ratio = _DECAY_FLOOR / live[0]
-    else:
-        ratios = [b / a for a, b in zip(live[:-1], live[1:])]
-        ratio = float(np.exp(np.mean(np.log(ratios))))
-    return DecayDiagnostic(ratio=ratio, degenerate=False, cutoffs=cutoffs,
-                           deltas=deltas, reference_bound=bound)
+        return float(_DECAY_FLOOR / live[0])
+    return float(np.exp(np.mean(np.log(live[1:] / live[:-1]))))

@@ -74,6 +74,11 @@ def test_solve_incommensurate_grid_exits_1(workdir):
     assert main(["solve", "--q", "0", "--h", "0.03"]) == 1
 
 
+def test_solve_infinite_half_width_exits_1(workdir, capsys):
+    assert main(["solve", "--L", "inf"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_bad_flag_exits_1(workdir):
     assert main(["solve", "--q", "zero"]) == 1
     assert main(["bogus-command"]) == 1
@@ -127,6 +132,15 @@ def test_solve_malformed_json_input_exits_1(workdir, capsys, flag, content, fiel
     assert main(["solve", flag, value, "--out", "sol.csv"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(field) in err
+    assert not (workdir / "sol.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["-1,0,5", "-1,a", "-1"])
+def test_solve_malformed_csv_row_exits_1(workdir, capsys, row):
+    (workdir / "bad.csv").write_text(f"x,phi\n{row}\n0,0\n1,1\n")
+    assert main(["solve", "--init", "file:bad.csv", "--out", "sol.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad.csv: line 2: expected two numbers x,phi")
     assert not (workdir / "sol.csv").exists()
 
 

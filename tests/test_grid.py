@@ -46,6 +46,8 @@ def test_make_grid_range_validation():
         make_grid(4.0, 0.05)  # half_width below 5
     with pytest.raises(ValueError):
         make_grid(20.0, 0.6)  # spacing above 0.5
+    with pytest.raises(ValueError):
+        make_grid(math.inf, 0.05)
 
 
 def test_sample_erf_is_odd():

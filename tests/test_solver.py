@@ -1,22 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 import kinksolve.solver as solver_module
-from kinksolve.cone import check_cone
+from kinksolve.cone import c5_bound, check_cone
 from kinksolve.grid import (
     Profile,
     make_grid,
     odd_defect,
+    odd_profile,
     profile_to_csv,
     profile_to_json,
     project_odd,
     sup_distance,
 )
 from kinksolve.kernels import KernelFamily
-from kinksolve.operators import OperatorConfig, apply_pq, apply_tq
+from kinksolve.operators import OperatorConfig, apply_pq, apply_tq, psi
 from kinksolve.solver import (
     SolveConfig,
-    decay_diagnostic,
+    decay_ratio,
     initial_guess,
     iterate_once,
     solve,
@@ -186,41 +189,80 @@ def test_solve_nonconvergence_is_reported_not_raised(default_grid, ledger):
 
 
 def test_solve_report_json_shapes(kink_q0, default_grid):
-    inline = kink_q0.to_json_dict(inline_profile=True)
+    inline = kink_q0.to_json_dict()
     assert inline["converged"] is True
     assert inline["stop_reason"] == "converged"
     assert inline["events"] == []
     assert len(inline["solution"]["values"]) == default_grid.n_points
-    sidecar = kink_q0.to_json_dict(inline_profile=False, profile_path="sol.csv")
+    sidecar = kink_q0.to_json_dict(solution_csv="sol.csv")
     assert "solution" not in sidecar
     assert sidecar["solution_csv"] == "sol.csv"
 
 
-def test_decay_diagnostic_on_solution(kink_q0, ledger):
-    diag = decay_diagnostic(kink_q0.solution, ledger, l0=2.0)
-    assert not diag.degenerate
-    assert 0.0 < diag.ratio < 1.0
-    assert diag.ratio <= diag.reference_bound + 0.1
-    assert diag.deltas[0] > diag.deltas[1] > diag.deltas[2]
+def test_decay_ratio_on_solution(kink_q0, ledger):
+    ratio = decay_ratio(kink_q0.solution)
+    reference_bound = math.sqrt(c5_bound(0.5 * ledger.c2 * psi(2.0)))
+    assert ratio != 0.0
+    assert 0.0 < ratio < 1.0
+    assert ratio <= reference_bound + 0.1
+    v = kink_q0.solution.values
+    x = kink_q0.solution.grid.x
+    deltas = [np.max(np.abs(1.0 - v[x > cut])) for cut in (2.0, 4.0, 6.0)]
+    assert deltas[0] > deltas[1] > deltas[2]
 
 
-def test_decay_diagnostic_degenerate_on_saturated_profile(default_grid, ledger):
+def _decay_ratio_by_cutoff_loop(p):
+    # reference: one mask per cutoff 2, 4, ..., L/2
+    deltas, cut = [], 2.0
+    while cut <= p.grid.half_width / 2.0:
+        beyond = float(np.max(np.abs(1.0 - p.values[p.grid.x > cut])))
+        deltas.append(max(beyond, abs(1.0 - p.tail_right)))
+        cut += 2.0
+    live = [d for d in deltas if d > solver_module._DECAY_FLOOR]
+    return float(np.exp(np.mean(np.log([b / a for a, b in zip(live[:-1], live[1:])]))))
+
+
+@pytest.mark.parametrize("half_width, spacing, q", [
+    (9.0, 0.05, 0.0), (13.0, 0.1, 1.0), (21.0, 0.07, 2.0), (40.0, 0.05, 2.3)])
+def test_decay_ratio_matches_the_cutoff_loop(ledger, half_width, spacing, q):
+    rep = solve(SolveConfig(q=q), make_grid(half_width, spacing), ledger)
+    assert rep.converged
+    assert rep.decay_estimate == decay_ratio(rep.solution)
+    assert decay_ratio(rep.solution) == _decay_ratio_by_cutoff_loop(rep.solution)
+
+
+def test_decay_ratio_zero_on_saturated_profile(default_grid):
     values = np.sign(default_grid.x)
     values[default_grid.center_index] = 0.0
     p = Profile(grid=default_grid, values=values, tail_right=1.0, tail_left=-1.0)
-    diag = decay_diagnostic(p, ledger, l0=2.0)
-    assert diag.degenerate
-    assert diag.ratio == 0.0
+    assert decay_ratio(p) == 0.0
 
 
-def test_decay_diagnostic_l0_validation(kink_q0, ledger):
-    with pytest.raises(ValueError):
-        decay_diagnostic(kink_q0.solution, ledger, l0=10.0)
+@pytest.mark.parametrize("rate", [0.5, math.sqrt(math.log(3.0))])
+def test_decay_ratio_of_exponential_tail(default_grid, rate):
+    # 1 - p = e^(-rate x) beyond every cutoff, so each ratio is e^(-2 rate)
+    p = odd_profile(default_grid, 1.0 - np.exp(-rate * default_grid.x_half), 1.0)
+    assert decay_ratio(p) == pytest.approx(math.exp(-2.0 * rate), rel=1e-12)
+
+
+def test_decay_ratio_with_one_delta_above_the_floor(default_grid):
+    # at rate 9 only the defect beyond x = 2 exceeds the floor
+    xp = default_grid.x_half
+    u = 1.0 - np.exp(-9.0 * xp)
+    first = float(np.max(np.abs(1.0 - u[xp > 2.0])))
+    p = odd_profile(default_grid, u, 1.0)
+    assert decay_ratio(p) == solver_module._DECAY_FLOOR / first
+
+
+def test_decay_ratio_none_on_converged_l8_solution(ledger):
+    rep = solve(SolveConfig(q=0.0), make_grid(8.0, 0.05), ledger)
+    assert rep.converged
+    assert decay_ratio(rep.solution) is None
 
 
 @pytest.mark.parametrize("half_width", [5.0, 8.0])
 def test_solve_on_grid_too_short_for_decay_fit(ledger, half_width):
-    # the fit starts at l0 = 2, which must stay below a quarter of L
+    # the fit's first cutoff, 2, must stay below a quarter of L
     rep = solve(SolveConfig(q=0.0), make_grid(half_width, 0.05), ledger)
     assert rep.converged
     assert rep.decay_estimate is None
@@ -247,7 +289,7 @@ def test_damping_fallback_on_oscillation(default_grid, ledger):
     assert len(fallbacks) == 1
     assert 6 <= fallbacks[0]["iteration"] <= rep.iterations
     assert fallbacks[0]["omega"] == 0.5
-    assert rep.to_json_dict(inline_profile=False)["events"] == rep.events
+    assert rep.to_json_dict()["events"] == rep.events
 
 
 @pytest.mark.parametrize("method", ["quadrature", "spectral"])

@@ -73,7 +73,7 @@ _C5_CLIP = 1.0 - 1e-9
 
 #: Relative shave applied to the barrier scale so the closing inequality
 #: holds under floating-point rounding (it is an equality in exact
-#: arithmetic when the cap is inactive).
+#: arithmetic).
 _C2_SHAVE = 1e-12
 
 
@@ -173,9 +173,7 @@ def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0) -> ConstantsL
     if float(np.min(np.cbrt(ramp) / ramp)) < ell - 1e-12:
         raise LedgerInvariantError("ramp cube-root lower bound fails on the grid")
 
-    sup_ramp = 0.5
-    cap = 1.0 / sup_ramp - 1e-6
-    c2 = min(math.sqrt(c3 * ell**3) * (1.0 - _C2_SHAVE), cap)
+    c2 = math.sqrt(c3 * ell**3) * (1.0 - _C2_SHAVE)
     q0 = 0.99 * math.sqrt(c3 * c2 / c4)
 
     ledger = ConstantsLedger(b=b, c0=c0, e=e, c_hat=c_hat, c1=c1, c3=c3, c4=c4,
@@ -282,16 +280,15 @@ def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,
     oddness, all operations that cannot increase the modulus constant.
     """
     rng = np.random.default_rng(seed)
-    x = grid.x
     xp = grid.x_half
     members = []
-    envelope = np.exp(-((x / 5.0) ** 2))
+    envelope = np.exp(-((xp / 5.0) ** 2))
     for _ in range(n):
-        ripple = np.zeros_like(x)
+        ripple = np.zeros_like(xp)
         for _ in range(int(rng.integers(1, 4))):
             amp = rng.uniform(-0.03, 0.03)
             freq = rng.uniform(0.2, 2.0)
-            ripple += amp * np.sin(freq * x) * envelope
-        u = np.clip(erf(x) + ripple, -ledger.c0, ledger.c0)[grid.center_index + 1:]
+            ripple += amp * np.sin(freq * xp) * envelope
+        u = np.clip(erf(xp) + ripple, -ledger.c0, ledger.c0)
         members.append(odd_profile(grid, np.maximum(u, ledger.c2 * psi(xp)), 1.0))
     return members

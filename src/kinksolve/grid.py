@@ -93,15 +93,9 @@ class Profile:
 
 
 def sample(f: Callable, grid: GridSpec, tail_right: float, tail_left: float) -> Profile:
-    """Sample f at the grid nodes; rejects non-finite results."""
-    x = grid.x
-    try:
-        values = np.asarray(f(x), dtype=float)
-        if values.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([float(f(xi)) for xi in x])
-    return Profile(grid=grid, values=values, tail_right=float(tail_right),
+    """Sample the vectorised f at the grid nodes; rejects results that are
+    non-finite or not one value per node."""
+    return Profile(grid=grid, values=f(grid.x), tail_right=float(tail_right),
                    tail_left=float(tail_left))
 
 

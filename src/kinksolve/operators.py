@@ -70,13 +70,6 @@ class OperatorConfig:
     kernel_window is the constant convolution cutoff |x - y| <= 12 of the
     quadrature path.  The neglected kernel mass there is below 1e-16; a
     window >= 8 would keep it under 1e-8.
-
-    The quadrature path always applies a cusp correction to stay at full
-    order on fixed points of the cube-root map, which cross zero like
-    x^(1/3): the singular part of the odd component is fitted at the origin
-    and its two adjacent cells are integrated exactly instead of by
-    trapezoid.  On profiles smooth at the origin the fitted singular
-    amplitude vanishes at high order, so the correction is inert there.
     """
 
     method: str = "quadrature"
@@ -132,7 +125,7 @@ class _Quadrature:
     5-smooth length N >= M + 2m + 1, and each application costs
     one rfft/irfft pair of length N.  N is at least the extension's length,
     so the circular convolution has no wrap-around on the outputs 2m ..
-    2m + k - 1 it keeps.  The kernel is a K0 + b K1 with weights (a, b); the
+    2m + M - 1 it keeps.  The kernel is a K0 + b K1 with weights (a, b); the
     mass outside the window is added in closed form through its cumulative
     integral C and total mass a: tail_right (a - C(w)) + tail_left C(-w).
 
@@ -175,17 +168,12 @@ class _Quadrature:
         self.cusp = (2.0 * _ZETA_M43 * h * h / c) * eval_kernel_derivative(
             grid.x_half, weights)
 
-    def _convolve(self, ext: np.ndarray, k: int) -> np.ndarray:
-        """The k 'valid' outputs of the convolution of ext with h * row."""
-        n = self.n_fft
-        full = np.fft.irfft(np.fft.rfft(ext, n) * self.spectrum, n)
-        return full[2 * self.m:2 * self.m + k]
-
     def __call__(self, u: np.ndarray, tau: float) -> np.ndarray:
         """Image on the positive nodes of the odd profile (u, tau)."""
         tail = np.full(self.m, tau)
         ext = np.concatenate([-tail, -u[::-1], [0.0], u, tail])[len(u) + 1:]
-        out = self._convolve(ext, len(u))
+        n, m = self.n_fft, self.m
+        out = np.fft.irfft(np.fft.rfft(ext, n) * self.spectrum, n)[2 * m:2 * m + len(u)]
         out += tau * self.odd_remainder
         out += (5.0 * u[0] - 4.0 * u[1] + u[2]) * self.cusp
         return out
@@ -201,32 +189,26 @@ class _Spectral:
     b = a / sqrt(1 + 4 a^2); the curvature part is minus its second
     derivative, (4 b^3 / sqrt(pi)) x exp(-b^2 x^2); constants are fixed.
     The kernel's weights (w0, w1) weigh the two images.
-    Each image is symmetrized on the periodic grid (x -> -x maps index i to
-    (N - i) mod N).  The seam node x = -L of the odd extension is forced to
-    zero (an odd periodic function must vanish there); the value it drops is
-    already periodization noise of the same size.
+    The seam node x = -L of the odd extension is forced to zero (an odd
+    periodic function must vanish there); the value it drops is already
+    periodization noise of the same size.
     """
 
     def __init__(self, grid: GridSpec, weights: tuple[float, float]) -> None:
         x = grid.x_half
         k = 2.0 * math.pi * np.fft.rfftfreq(grid.n_points - 1, d=grid.spacing)
-        self.c = grid.center_index
         self.symbol = fourier_symbol(k, weights)
         self.reference = erf(0.5 * x)
         (w0, w1), b = weights, _REF_B
         curvature = w1 * (4.0 * b**3 / _SQRT_PI) * x * np.exp(-(b * x) ** 2)
         self.reference_image = w0 * erf(b * x) + curvature
 
-    def _multiply(self, arr: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(arr) * self.symbol, n=len(arr))
-
     def __call__(self, u: np.ndarray, tau: float) -> np.ndarray:
         """Image on the positive nodes of the odd profile (u, tau)."""
         d = u - tau * self.reference
-        img = self._multiply(np.concatenate([[0.0], -d[-2::-1], [0.0], d[:-1]]))
-        c = self.c
-        pos = np.append(0.5 * (img[c + 1:] - img[c - 1:0:-1]), 0.0)
-        return pos + tau * self.reference_image
+        arr = np.concatenate([[0.0], -d[-2::-1], [0.0], d[:-1]])
+        img = np.fft.irfft(np.fft.rfft(arr) * self.symbol, n=len(arr))
+        return np.append(img[len(u) + 1:], 0.0) + tau * self.reference_image
 
 
 @lru_cache(maxsize=8)

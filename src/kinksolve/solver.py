@@ -172,7 +172,7 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     another grid than `grid` or when its tails are not opposite.  The
     default undamped iteration falls back to half damping when the residual
     has grown five steps in a row, and records that as an event.  The decay
-    estimate needs a converged kink and a grid half-width above 8.
+    estimate needs a kink (converged, tail above 1/2) and L above 8.
     """
     if initial is None:
         initial = initial_guess("erf", grid, ledger)
@@ -210,7 +210,7 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
         final_residual=residual,
         residual_trace=trace,
         cone_member_final=check_cone(p, ledger).member,
-        decay_estimate=decay_ratio(p) if converged and tau == 1.0 else None,
+        decay_estimate=decay_ratio(p) if converged and tau > 0.5 else None,
         solution=p,
         boundary_defect=abs(u[-1] - tau),
         stop_reason="converged" if converged else "budget",
@@ -219,18 +219,18 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
 
 
 def decay_ratio(p: Profile) -> float | None:
-    """Geometric mean ratio of successive sup_{x > l} |1 - p(x)| over the
-    cutoffs l = 2, 4, ..., L/2 of the odd profile p (ValueError unless p is
-    odd to the bit): below 1 for a kink, 0.0 when p is saturated at +-1
-    beyond x = 2, and None when L <= 8, where 2 is not below L/4."""
+    """Geometric mean ratio of successive sup_{x > l} |tau - p(x)| over the
+    cutoffs l = 2, 4, ..., L/2 of the odd profile p with right tail tau,
+    which a solve may leave within tol of 1 (ValueError unless p is odd to
+    the bit): below 1 for a kink, 0.0 when p is saturated at +-tau beyond
+    x = 2, and None when L <= 8, where 2 is not below L/4."""
     g = p.grid
     if not _DECAY_STEP < g.half_width / 4.0:
         return None
     u, tau = odd_half(p)
-    beyond = np.maximum.accumulate(np.abs(1.0 - u)[::-1])[::-1]
+    beyond = np.maximum.accumulate(np.abs(tau - u)[::-1])[::-1]
     cuts = _DECAY_STEP * np.arange(1, g.half_width // (2.0 * _DECAY_STEP) + 1)
-    first = np.searchsorted(g.x_half, cuts, side="right")
-    deltas = np.maximum(beyond[first], abs(1.0 - tau))
+    deltas = beyond[np.searchsorted(g.x_half, cuts, side="right")]
     # the deltas never increase, so those above the floor are a prefix
     live = deltas[deltas > _DECAY_FLOOR]
     if len(live) == 0:

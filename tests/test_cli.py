@@ -144,6 +144,47 @@ def test_solve_malformed_csv_row_exits_1(workdir, capsys, row):
     assert not (workdir / "sol.csv").exists()
 
 
+def test_solve_unknown_init_exits_1(workdir, capsys):
+    assert main(["solve", "--init", "bogus"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown --init value 'bogus'")
+
+
+def _restart_rows(x):
+    return "x,phi\n" + "".join(f"{xi:.17g},{np.tanh(xi):.17g}\n" for xi in x)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    (np.array([-5.0, 5.0]), "too few rows for a profile"),
+    (np.linspace(-5.0, 5.0, 21) + 0.01 * (np.arange(21) == 7),
+     "nodes are not uniformly spaced"),
+    (np.linspace(-4.5, 5.5, 21), "grid is not symmetric about 0"),
+])
+def test_solve_restart_csv_off_grid_exits_1(workdir, capsys, nodes, message):
+    (workdir / "bad.csv").write_text(_restart_rows(nodes))
+    assert main(["solve", "--L", "5", "--init", "file:bad.csv", "--out", "sol.csv"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad.csv: {message}")
+    assert not (workdir / "sol.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"c0": lambda d: d["c0"] * 1.01}, "c0 != sqrt(b)"),
+    ({"c1": lambda d: d["c1"] * 1.01}, "c1 != c_hat (c0 e)^(1/3)"),
+    ({"c2": lambda d: 1.5}, "closing inequality fails: barrier not reproduced"),
+    ({"c3": lambda d: 10.0, "ell": lambda d: 1.0, "c2": lambda d: 3.0},
+     "barrier exceeds the ramp's saturation bound"),
+    ({"q0": lambda d: 1.0}, "admissible deformation bound q0 is too large"),
+    ({"q0": lambda d: -0.1}, "q0 must be strictly positive"),
+])
+def test_solve_with_a_loaded_ledger_that_breaks_an_invariant_exits_3(
+        workdir, capsys, ledger_file, edit, message):
+    d = json.loads(ledger_file.read_text())
+    d.update({k: f(d) for k, f in edit.items()})
+    (workdir / "bad.json").write_text(json.dumps(d))
+    assert main(["solve", "--L", "5", "--ledger", "bad.json", "--out", "sol.csv"]) == 3
+    assert capsys.readouterr().err == f"ledger invariant violated: {message}\n"
+    assert not (workdir / "sol.csv").exists()
+
+
 def test_init_psi_alias_matches_erf(workdir, ledger_file):
     # --init psi (and psi_scaled) name twice the Gaussian ramp, i.e. erf
     for init in ("erf", "psi", "psi_scaled"):
@@ -277,6 +318,15 @@ def test_scan_command(workdir):
     assert len(d["samples"]) == 3
     assert (workdir / "scan.csv").exists()
     assert (workdir / "scan.json.manifest.json").exists()
+
+
+def test_scan_cold_check_writes_cold_samples(workdir):
+    assert main(["scan", "--q-max", "0.27", "--steps", "1", "--max-iter", "2000",
+                 "--cold-check", "--out", "scan.json"]) == 0
+    d = json.loads((workdir / "scan.json").read_text())
+    assert [s["q"] for s in d["cold_samples"]] == [s["q"] for s in d["samples"]]
+    assert len(d["cold_samples"]) == 2
+    assert d["warm_cold_agree"] is True
 
 
 def test_manifest_lists_outputs(workdir):

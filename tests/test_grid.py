@@ -79,6 +79,13 @@ def test_sample_rejects_nonfinite():
         sample(lambda x: np.where(np.asarray(x) == 0.0, np.inf, 1.0), g, 1.0, 1.0)
 
 
+def test_sample_rejects_a_scalar_result():
+    # f is called once on all nodes; a scalar is not one value per node
+    g = make_grid(20.0, 0.05)
+    with pytest.raises(ValueError, match=r"expected 801 values, got shape \(\)"):
+        sample(lambda x: 1.0, g, 1.0, 1.0)
+
+
 def test_profile_validates_shape_and_tails():
     g = make_grid(20.0, 0.05)
     with pytest.raises(ValueError):

@@ -19,6 +19,11 @@ def test_scan_config_validation():
         ScanConfig(bisect_tol=0.0)
 
 
+def test_scan_config_rejects_zero_coarse_steps():
+    with pytest.raises(ValueError, match="coarse_steps must be >= 1"):
+        ScanConfig(coarse_steps=0)
+
+
 def test_sample_classification_rule():
     kink = ScanSample(q=0.1, converged=True, final_residual=1e-13,
                       kink_amplitude=0.999)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import kinksolve.solver as solver_module
 from kinksolve.cone import c5_bound, check_cone
@@ -35,6 +36,16 @@ def test_solve_config_validation():
         SolveConfig(damping=1.5)
     with pytest.raises(ValueError):
         SolveConfig(tol=0.0)
+
+
+def test_solve_config_rejects_zero_max_iter():
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        SolveConfig(max_iter=0)
+
+
+def test_initial_guess_from_file_needs_a_path(default_grid, ledger):
+    with pytest.raises(ValueError, match="needs a path"):
+        initial_guess("from_file", default_grid, ledger)
 
 
 def test_initial_guess_rejects_unknown_kind(default_grid, ledger):
@@ -258,6 +269,28 @@ def test_decay_ratio_none_on_converged_l8_solution(ledger):
     rep = solve(SolveConfig(q=0.0), make_grid(8.0, 0.05), ledger)
     assert rep.converged
     assert decay_ratio(rep.solution) is None
+
+
+@pytest.mark.parametrize("half_width", [20.0, 80.0])
+@pytest.mark.parametrize("tail", [0.5, 0.9, 1.2])
+def test_decay_estimate_does_not_depend_on_the_start_tail(ledger, half_width, tail):
+    # the tail iterates tau <- tau^(1/3) and stops within tol of 1, not at 1;
+    # at L = 80 the far deltas measured from 1 would be that gap, not the decay
+    grid = make_grid(half_width, 0.05)
+    erf_start = solve(SolveConfig(q=0.0), grid, ledger).decay_estimate
+    start = odd_profile(grid, tail * erf(grid.x_half), tail)
+    rep = solve(SolveConfig(q=0.0), grid, ledger, initial=start)
+    assert rep.converged
+    assert rep.solution.tail_right != 1.0
+    assert rep.decay_estimate == pytest.approx(erf_start, rel=1e-6)
+
+
+@pytest.mark.parametrize("tail", [0.0, -1.0])
+def test_decay_estimate_none_off_the_kink_branch(default_grid, ledger, tail):
+    start = odd_profile(default_grid, tail * erf(default_grid.x_half), tail)
+    rep = solve(SolveConfig(q=0.0), default_grid, ledger, initial=start)
+    assert rep.converged
+    assert rep.decay_estimate is None
 
 
 @pytest.mark.parametrize("half_width", [5.0, 8.0])

@@ -53,7 +53,6 @@ from .solver import (
     SolveReport,
     decay_ratio,
     initial_guess,
-    iterate_once,
     solve,
 )
 
@@ -70,5 +69,5 @@ __all__ = [
     "build_operator", "psi", "t0_psi_analytic",
     "ScanConfig", "ScanReport", "ScanSample", "scan",
     "SolveConfig", "SolveReport", "decay_ratio",
-    "initial_guess", "iterate_once", "solve",
+    "initial_guess", "solve",
 ]

@@ -283,12 +283,14 @@ def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,
     xp = grid.x_half
     members = []
     envelope = np.exp(-((xp / 5.0) ** 2))
+    kink = erf(xp)
+    barrier = ledger.c2 * psi(xp)
     for _ in range(n):
         ripple = np.zeros_like(xp)
         for _ in range(int(rng.integers(1, 4))):
             amp = rng.uniform(-0.03, 0.03)
             freq = rng.uniform(0.2, 2.0)
             ripple += amp * np.sin(freq * xp) * envelope
-        u = np.clip(erf(xp) + ripple, -ledger.c0, ledger.c0)
-        members.append(odd_profile(grid, np.maximum(u, ledger.c2 * psi(xp)), 1.0))
+        u = np.clip(kink + ripple, -ledger.c0, ledger.c0)
+        members.append(odd_profile(grid, np.maximum(u, barrier), 1.0))
     return members

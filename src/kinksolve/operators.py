@@ -122,12 +122,15 @@ class _Quadrature:
     'valid' convolution of that extension with the kernel row, started at
     node 1 - m, yields exactly the wanted outputs.  It is taken as a
     product of spectra: the spectrum of h * row is computed once, at a
-    5-smooth length N >= M + 2m + 1, and each application costs
-    one rfft/irfft pair of length N.  N is at least the extension's length,
-    so the circular convolution has no wrap-around on the outputs 2m ..
-    2m + M - 1 it keeps.  The kernel is a K0 + b K1 with weights (a, b); the
-    mass outside the window is added in closed form through its cumulative
-    integral C and total mass a: tail_right (a - C(w)) + tail_left C(-w).
+    5-smooth length N >= M + 2m + 1.  Each application writes the extension
+    once, by slices, into a fresh zeroed FFT input of length N and costs one
+    rfft/irfft pair, with the spectra multiplied in place; the operator holds
+    no mutable state, so a memoised build can be shared.  N is at least the
+    extension's length, so the circular convolution has no wrap-around on the
+    outputs 2m .. 2m + M - 1 it keeps.  The kernel is a K0 + b K1 with
+    weights (a, b); the mass outside the window is added in closed form
+    through its cumulative integral C and total mass a:
+    tail_right (a - C(w)) + tail_left C(-w).
 
     Profiles are assumed continuous at the truncation; a mismatch between
     the edge samples and the tails contributes O(spacing * mismatch) error
@@ -170,12 +173,20 @@ class _Quadrature:
 
     def __call__(self, u: np.ndarray, tau: float) -> np.ndarray:
         """Image on the positive nodes of the odd profile (u, tau)."""
-        tail = np.full(self.m, tau)
-        ext = np.concatenate([-tail, -u[::-1], [0.0], u, tail])[len(u) + 1:]
-        n, m = self.n_fft, self.m
-        out = np.fft.irfft(np.fft.rfft(ext, n) * self.spectrum, n)[2 * m:2 * m + len(u)]
+        n, m, size = self.n_fft, self.m, len(u)
+        # from node 1 - m: -tau beyond -L, the mirrored -u, 0, u, then tau
+        ext = np.zeros(n)
+        beyond = max(m - 1 - size, 0)
+        ext[:beyond] = -tau
+        np.negative(u[m - 2 - beyond::-1], out=ext[beyond:m - 1])
+        ext[m:m + size] = u
+        ext[m + size:2 * m + size] = tau
+        spectrum = np.fft.rfft(ext)
+        spectrum *= self.spectrum
+        out = np.fft.irfft(spectrum, n)[2 * m:2 * m + size]
+        u1, u2, u3 = u[:3].tolist()
         out += tau * self.odd_remainder
-        out += (5.0 * u[0] - 4.0 * u[1] + u[2]) * self.cusp
+        out += (5.0 * u1 - 4.0 * u2 + u3) * self.cusp
         return out
 
 

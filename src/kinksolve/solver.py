@@ -5,7 +5,8 @@ argument lives entirely in odd functions, so the iteration does too: the
 start is projected onto odd profiles once, and from then on the iterate is
 the array u of its values on the positive nodes plus its right tail tau,
 pushed through the half-line operator built once per solve.  Oddness is
-exact by construction, and a Profile is built only at entry and exit.
+exact by construction, and a Profile is built only at entry and exit.  The
+iterate is updated in place; the residual uses one scratch array per solve.
 
 Convergence is declared on the map residual sup |image - iterate|, never on
 the damped step size, so damping cannot mask stagnation.  Non-convergence
@@ -137,31 +138,6 @@ def _check_grid(p: Profile, grid: GridSpec) -> None:
             f"match the requested grid (L={grid.half_width}, h={grid.spacing})")
 
 
-def _step(op, u: np.ndarray, tau: float) -> tuple[np.ndarray, float, float]:
-    """Image of the odd iterate (u, tau) under the cube-root map, and the
-    residual sup |image - iterate|; raises on a non-finite result."""
-    image = np.cbrt(op(u, tau))
-    image_tau = float(np.cbrt(tau))
-    residual = max(float(np.max(np.abs(image - u))), abs(image_tau - tau))
-    if not math.isfinite(residual):
-        raise ValueError("profile values must be finite")
-    return image, image_tau, residual
-
-
-def _mix(a, b, omega: float):
-    return (1.0 - omega) * a + omega * b
-
-
-def iterate_once(p: Profile, cfg_solve: SolveConfig) -> Profile:
-    """One damped step on the odd projection of p: mix it with its image
-    under the map at q = cfg_solve.q."""
-    u, tau = odd_half(project_odd(p))
-    op = build_operator(p.grid, KernelFamily(cfg_solve.q).weights)
-    image, image_tau, _ = _step(op, u, tau)
-    omega = cfg_solve.damping
-    return odd_profile(p.grid, _mix(u, image, omega), _mix(tau, image_tau, omega))
-
-
 def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
           cfg_op: OperatorConfig = OperatorConfig(),
           initial: Profile | None = None) -> SolveReport:
@@ -178,6 +154,8 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
         initial = initial_guess("erf", grid, ledger)
     _check_grid(initial, grid)
     u, tau = odd_half(project_odd(initial))
+    u = u.copy()  # the loop updates the iterate in place
+    scratch = np.empty_like(u)
     op = build_operator(grid, KernelFamily(cfg_solve.q).weights, cfg_op)
 
     omega = cfg_solve.damping
@@ -187,7 +165,13 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     converged = False
     growth_streak = 0
     for _ in range(cfg_solve.max_iter):
-        image, image_tau, residual = _step(op, u, tau)
+        image = op(u, tau)
+        np.cbrt(image, out=image)
+        image_tau = float(np.cbrt(tau))
+        np.abs(np.subtract(image, u, out=scratch), out=scratch)
+        residual = max(float(scratch.max()), abs(image_tau - tau))
+        if not math.isfinite(residual):
+            raise ValueError("profile values must be finite")
         trace.append(residual)
         if residual <= cfg_solve.tol:
             converged = True
@@ -201,7 +185,10 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
                                "omega": omega})
         else:
             growth_streak = 0
-        u, tau = _mix(u, image, omega), _mix(tau, image_tau, omega)
+        u *= 1.0 - omega
+        image *= omega
+        u += image
+        tau = (1.0 - omega) * tau + omega * image_tau
 
     p = odd_profile(grid, u, tau)
     return SolveReport(

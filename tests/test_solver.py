@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from kinksolve.grid import (
     Profile,
     make_grid,
     odd_defect,
+    odd_half,
     odd_profile,
     profile_to_csv,
     profile_to_json,
@@ -17,12 +19,11 @@ from kinksolve.grid import (
     sup_distance,
 )
 from kinksolve.kernels import KernelFamily
-from kinksolve.operators import OperatorConfig, apply_pq, apply_tq, psi
+from kinksolve.operators import OperatorConfig, apply_pq, apply_tq, build_operator, psi
 from kinksolve.solver import (
     SolveConfig,
     decay_ratio,
     initial_guess,
-    iterate_once,
     solve,
 )
 
@@ -100,19 +101,27 @@ def test_initial_guess_warns_outside_cone(default_grid, ledger, tmp_path):
         initial_guess("from_file", default_grid, ledger, path=str(path))
 
 
-def test_iterate_once_fixes_exact_fixed_point(default_grid):
+def _one_step(p, cfg, ledger):
+    """The solve of cfg stopped after one step from p: the damped step, or p
+    itself when its residual already meets tol."""
+    return solve(dataclasses.replace(cfg, max_iter=1), p.grid, ledger, initial=p)
+
+
+def test_one_step_fixes_exact_fixed_point(default_grid, ledger):
     zero = Profile(grid=default_grid, values=np.zeros(default_grid.n_points),
                    tail_right=0.0, tail_left=0.0)
-    out = iterate_once(zero, SolveConfig(q=0.3))
-    assert sup_distance(out, zero) <= 1e-15
+    rep = _one_step(zero, SolveConfig(q=0.3), ledger)
+    # the residual is the distance from zero to its image
+    assert rep.final_residual <= 1e-15
+    assert sup_distance(rep.solution, zero) <= 1e-15
 
 
-def test_iterate_once_projection_kills_even_drift(default_grid):
+def test_one_step_projection_kills_even_drift(default_grid, ledger):
     rng = np.random.default_rng(3)
     even = rng.normal(scale=0.01, size=default_grid.n_points)
     even = 0.5 * (even + even[::-1])
     p = Profile(grid=default_grid, values=even, tail_right=0.0, tail_left=0.0)
-    out = iterate_once(p, SolveConfig(q=0.0, damping=1.0))
+    out = _one_step(p, SolveConfig(q=0.0, damping=1.0), ledger).solution
     assert odd_defect(out) == 0.0
 
 
@@ -120,7 +129,7 @@ def test_one_step_from_erf_reduces_residual(default_grid, ledger):
     fam = KernelFamily(0.0)
     p = initial_guess("erf", default_grid, ledger)
     r0 = sup_distance(apply_pq(p, fam), p)
-    stepped = iterate_once(p, SolveConfig(q=0.0))
+    stepped = _one_step(p, SolveConfig(q=0.0), ledger).solution
     r1 = sup_distance(apply_pq(stepped, fam), stepped)
     # frozen on first implementation run with the default grid and config
     assert r0 == pytest.approx(0.2569909382178036, rel=1e-9)
@@ -128,10 +137,10 @@ def test_one_step_from_erf_reduces_residual(default_grid, ledger):
     assert r1 < r0
 
 
-def test_iterate_once_steps_at_config_q(default_grid, ledger):
-    # the undamped step is the image under the map at cfg_solve.q
+def test_one_step_is_the_map_at_config_q(default_grid, ledger):
+    # the undamped step is the image under the map at cfg.q
     p = initial_guess("erf", default_grid, ledger)
-    stepped = iterate_once(p, SolveConfig(q=2.0))
+    stepped = _one_step(p, SolveConfig(q=2.0), ledger).solution
     assert np.array_equal(stepped.values, apply_pq(p, KernelFamily(2.0)).values)
 
 
@@ -172,15 +181,18 @@ def test_solve_midrange_q(default_grid, ledger):
 
 
 def test_solve_iterates_stay_in_cone(default_grid, ledger):
-    # no damping fallback fired, so stepping iterate_once from the same erf
-    # start retraces the solve's own iterates
+    # no damping fallback fired, so one-step solves chained from the same erf
+    # start retrace the solve's own iterates; the last step maps the solution
+    # to its image under the undamped map
     cfg = SolveConfig(q=ledger.q0)
     rep = solve(cfg, default_grid, ledger)
     assert rep.converged
     assert rep.events == []
     iterates = [initial_guess("erf", default_grid, ledger)]
-    for _ in range(rep.iterations):
-        iterates.append(iterate_once(iterates[-1], cfg))
+    for _ in range(rep.iterations - 1):
+        iterates.append(_one_step(iterates[-1], cfg, ledger).solution)
+    iterates.append(apply_pq(iterates[-1], KernelFamily(cfg.q)))
+    assert len(iterates) == rep.iterations + 1
     assert np.array_equal(iterates[-2].values, rep.solution.values)
     assert all(check_cone(p, ledger).member for p in iterates)
 
@@ -392,3 +404,60 @@ def test_solve_matches_full_line_picard(default_grid, ledger, method, q_of):
     assert np.array_equal(v, -v[::-1])
     assert v[default_grid.center_index] == 0.0
     assert rep.solution.tail_left == -rep.solution.tail_right
+
+
+def _half_line_picard(cfg, grid, ledger, initial):
+    """Reference loop on the positive half: the odd extension built by
+    concatenation and zero-padded by rfft, and an out-of-place mix."""
+    op = build_operator(grid, KernelFamily(cfg.q).weights)
+    n, m = op.n_fft, op.m
+    u, tau = odd_half(project_odd(initial))
+    omega, trace, growth_streak = cfg.damping, [], 0
+    for _ in range(cfg.max_iter):
+        tail = np.full(m, tau)
+        ext = np.concatenate([-tail, -u[::-1], [0.0], u, tail])[len(u) + 1:]
+        linear = np.fft.irfft(np.fft.rfft(ext, n) * op.spectrum, n)[2 * m:2 * m + len(u)]
+        linear += tau * op.odd_remainder
+        linear += (5.0 * u[0] - 4.0 * u[1] + u[2]) * op.cusp
+        image, image_tau = np.cbrt(linear), float(np.cbrt(tau))
+        trace.append(max(float(np.max(np.abs(image - u))), abs(image_tau - tau)))
+        if trace[-1] <= cfg.tol:
+            break
+        if len(trace) > 1 and trace[-1] > trace[-2]:
+            growth_streak += 1
+            if growth_streak >= 5 and omega > 0.5:
+                omega, growth_streak = 0.5, 0
+        else:
+            growth_streak = 0
+        u = (1.0 - omega) * u + omega * image
+        tau = (1.0 - omega) * tau + omega * image_tau
+    return odd_profile(grid, u, tau), trace
+
+
+@pytest.mark.parametrize("spec, q, omega", [
+    *[((20.0, 0.05), q, omega) for q in (0.0, 2.3, 2.6765) for omega in (1.0, 0.5, 0.3)],
+    ((5.0, 0.05), 0.0, 1.0)])
+def test_solve_matches_half_line_picard_bitwise(ledger, spec, q, omega):
+    # on (5, 0.05) the window reaches beyond -L, so the extension starts
+    # with a block of -tau; at q = 2.6765 the budget runs out, and at
+    # omega = 1 the damping fallback fires
+    grid = make_grid(*spec)
+    cfg = SolveConfig(q=q, damping=omega, max_iter=600)
+    start = initial_guess("erf", grid, ledger)
+    expected, trace = _half_line_picard(cfg, grid, ledger, start)
+    rep = solve(cfg, grid, ledger, initial=start)
+    assert rep.residual_trace == trace
+    assert rep.solution.values.tobytes() == expected.values.tobytes()
+    assert rep.solution.tail_right == expected.tail_right
+
+
+def test_solve_leaves_its_start_unchanged(default_grid, ledger):
+    # a cold odd start and a warm start from an earlier solution, as qscan
+    # passes it
+    cold = initial_guess("erf", default_grid, ledger)
+    cold_bytes = cold.values.tobytes()
+    warm = solve(SolveConfig(q=0.0), default_grid, ledger, initial=cold).solution
+    assert cold.values.tobytes() == cold_bytes
+    warm_bytes = warm.values.tobytes()
+    solve(SolveConfig(q=0.5), default_grid, ledger, initial=warm)
+    assert warm.values.tobytes() == warm_bytes

@@ -15,6 +15,7 @@ from .cone import (
     check_cone,
     check_preservation,
     compute_constants,
+    is_cone_member,
     random_cone_members,
 )
 from .grid import (
@@ -60,7 +61,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConeReport", "ConstantsLedger", "LedgerInvariantError", "c5_bound",
-    "check_cone", "check_preservation", "compute_constants", "random_cone_members",
+    "check_cone", "check_preservation", "compute_constants", "is_cone_member",
+    "random_cone_members",
     "GridSpec", "Profile", "make_grid", "odd_defect", "profile_from_csv",
     "profile_from_json", "profile_to_csv", "profile_to_json", "project_odd",
     "sample", "sup_distance", "sup_norm",

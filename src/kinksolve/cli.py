@@ -29,8 +29,8 @@ from . import __version__
 from .cone import (
     ConstantsLedger,
     LedgerInvariantError,
-    check_cone,
     compute_constants,
+    is_cone_member,
     random_cone_members,
     validate_ledger,
 )
@@ -194,10 +194,10 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
     # is not a member is a failed row instead of that function's ValueError
     q_run = min(args.q, ledger.q0)
     draws = random_cone_members(args.trials, grid, ledger, seed=args.seed)
-    members = [m for m in draws if check_cone(m, ledger).member]
+    members = [m for m in draws if is_cone_member(m, ledger)]
     n_in = len(members)
     n_preserved = sum(
-        check_cone(apply_pq(m, KernelFamily(q_run)), ledger).member
+        is_cone_member(apply_pq(m, KernelFamily(q_run)), ledger)
         for m in members)
     checks.append((f"cone membership of {args.trials} draws", float(n_in),
                    float(args.trials), n_in == args.trials))

@@ -199,21 +199,24 @@ def validate_ledger(ledger: ConstantsLedger) -> None:
         raise LedgerInvariantError("q0 must be strictly positive")
 
 
-def _holder_ratio(v: np.ndarray, h: float) -> float:
-    """max over node pairs i < j of |v_j - v_i| / ((j - i) h)^(1/3), exactly.
+def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:
+    """max(floor, max over node pairs i < j of |v_j - v_i| / ((j - i) h)^(1/3)).
 
     Lags go in dyadic blocks [w, 2w).  hi and lo, built by doubling, hold the
     max and min of v on each start's window v[i : i + 2w], which holds all its
     partners in the block, so only starts reaching beyond worst (w h)^(1/3)
     are gathered, 2^14 elements (or one start) at a time to keep memory
     flat.  Once the range of v is within that bound, no longer lag can win.
+    worst starts at floor, so a floor at the cone's bound prunes every start
+    that cannot break it: all that a yes/no membership answer needs.
     """
-    n, worst, w = len(v), 0.0, 1
-    hi, lo, span = v.copy(), v.copy(), float(v.max() - v.min())
-    while w < n and span > worst * (w * h) ** (1.0 / 3.0):
+    n, worst, w = len(v), floor, 1
+    hi, lo, span = v.copy(), v.copy(), float(np.ptp(v)) if n else 0.0
+    # the cut sits a few ulps low, so no rounding prunes a pair that beats worst
+    while w < n and span > (cut := worst * (w * h) ** (1.0 / 3.0) * (1.0 - 1e-15)):
         hi[:-w], lo[:-w] = np.maximum(hi[:-w], hi[w:]), np.minimum(lo[:-w], lo[w:])
         reach = np.maximum(hi - v, v - lo)[:n - w]
-        starts = np.flatnonzero(reach > worst * (w * h) ** (1.0 / 3.0))
+        starts = np.flatnonzero(reach > cut)
         lags = np.arange(w, 2 * w)
         scale = (lags * h) ** (1.0 / 3.0)
         rows = max(1, (1 << 14) // w)
@@ -225,6 +228,21 @@ def _holder_ratio(v: np.ndarray, h: float) -> float:
     return worst
 
 
+def _cone_report(p: Profile, ledger: ConstantsLedger, floor: float) -> ConeReport:
+    """The four membership conditions, the modulus search floored at floor."""
+    g, v = p.grid, p.values
+    sup_value = sup_norm(p)
+    worst = _holder_ratio(v, g.spacing, floor)
+    defect = odd_defect(p)
+    margin = float(np.min(v[g.center_index + 1:] - ledger.c2 * psi(g.x_half)))
+    margin = min(margin, p.tail_right - ledger.c2 * 0.5)
+    return ConeReport(
+        is_bounded=sup_value <= ledger.c0 + MEMBERSHIP_SLACK, sup_value=sup_value,
+        is_holder=worst <= ledger.c1 + MEMBERSHIP_SLACK, holder_ratio=worst,
+        is_odd=defect <= ODD_TOL, odd_defect=defect,
+        is_above_psi=margin >= -MEMBERSHIP_SLACK, psi_margin=margin)
+
+
 def check_cone(p: Profile, ledger: ConstantsLedger) -> ConeReport:
     """Evaluate the four cone-membership conditions on the grid nodes.
 
@@ -232,27 +250,14 @@ def check_cone(p: Profile, ledger: ConstantsLedger) -> ConeReport:
     peak at short range: the sign start's worst pair is (-1.2, 1.2), and a
     profile can break the bound only between far-apart nodes.
     """
-    g = p.grid
-    v = p.values
+    return _cone_report(p, ledger, 0.0)
 
-    sup_value = sup_norm(p)
-    is_bounded = sup_value <= ledger.c0 + MEMBERSHIP_SLACK
 
-    worst = _holder_ratio(v, g.spacing)
-    is_holder = worst <= ledger.c1 + MEMBERSHIP_SLACK
-
-    defect = odd_defect(p)
-    is_odd = defect <= ODD_TOL
-
-    xp = g.x_half
-    margin = float(np.min(v[g.center_index + 1:] - ledger.c2 * psi(xp)))
-    margin = min(margin, p.tail_right - ledger.c2 * 0.5)
-    is_above_psi = margin >= -MEMBERSHIP_SLACK
-
-    return ConeReport(is_bounded=is_bounded, sup_value=sup_value,
-                      is_holder=is_holder, holder_ratio=worst,
-                      is_odd=is_odd, odd_defect=defect,
-                      is_above_psi=is_above_psi, psi_margin=margin)
+def is_cone_member(p: Profile, ledger: ConstantsLedger) -> bool:
+    """check_cone(p, ledger).member, with the modulus search floored at its
+    bound: a ratio at or below c1 + MEMBERSHIP_SLACK passes either way, so
+    only node pairs that could break the bound are searched."""
+    return _cone_report(p, ledger, ledger.c1 + MEMBERSHIP_SLACK).member
 
 
 def check_preservation(p: Profile, family: KernelFamily,
@@ -263,7 +268,7 @@ def check_preservation(p: Profile, family: KernelFamily,
     under those hypotheses the image must remain in the cone, so a failing
     report indicates a constants or operator bug.
     """
-    if not check_cone(p, ledger).member:
+    if not is_cone_member(p, ledger):
         raise ValueError("input profile is not a cone member")
     if family.q > ledger.q0:
         raise ValueError(f"deformation {family.q} exceeds admissible bound {ledger.q0}")

@@ -88,9 +88,6 @@ class Profile:
             raise ValueError("profile tails must be finite")
         object.__setattr__(self, "values", values)
 
-    def with_values(self, values: np.ndarray) -> "Profile":
-        return replace(self, values=values)
-
 
 def sample(f: Callable, grid: GridSpec, tail_right: float, tail_left: float) -> Profile:
     """Sample the vectorised f at the grid nodes; rejects results that are
@@ -109,7 +106,7 @@ def project_odd(p: Profile) -> Profile:
         raise ValueError(
             f"odd projection needs opposite tails, got ({p.tail_left}, {p.tail_right})"
         )
-    return p.with_values(0.5 * (p.values - p.values[::-1]))
+    return replace(p, values=0.5 * (p.values - p.values[::-1]))
 
 
 def odd_half(p: Profile) -> tuple[np.ndarray, float]:

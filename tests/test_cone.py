@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from kinksolve.cone import (
@@ -14,12 +17,13 @@ from kinksolve.cone import (
     check_cone,
     check_preservation,
     compute_constants,
+    is_cone_member,
     random_cone_members,
     validate_ledger,
 )
 from kinksolve.grid import GridSpec, Profile, odd_defect, sample
 from kinksolve.kernels import KernelFamily, kq_abs_mass, kq_derivative_abs_mass
-from kinksolve.operators import psi, t0_psi_analytic
+from kinksolve.operators import apply_pq, psi, t0_psi_analytic
 from kinksolve.solver import initial_guess
 
 
@@ -217,7 +221,7 @@ def test_preservation_reports_on_member_odd_within_tolerance(default_grid, ledge
     member = random_cone_members(1, default_grid, ledger, seed=3)[0]
     values = member.values.copy()
     values[default_grid.center_index + 5] += 1e-14
-    p = member.with_values(values)
+    p = replace(member, values=values)
     assert 0.0 < odd_defect(p) <= ODD_TOL
     assert check_preservation(p, KernelFamily(0.0), ledger).member
 
@@ -315,18 +319,85 @@ def test_sign_start_ratio_peaks_at_far_pair(default_grid, ledger):
     assert report.holder_ratio == pytest.approx(1.4938, abs=1e-4)
 
 
-def test_far_pair_modulus_violation_is_not_member(default_grid, ledger):
+def _far_pair(grid, top):
     # odd: 0.999 |x|^(1/3) up to |x| = 1, linear up to P at |x| = 1.2, then
-    # P; only the far pair (-1.2, 1.2) breaks the bound: 2P / 2.4^(1/3)
-    x, top = default_grid.x, 1.0650
+    # P; only the far pair (-1.2, 1.2) can break the bound: 2P / 2.4^(1/3)
+    x = grid.x
     a = np.abs(x)
     mag = np.where(a <= 1.0, 0.999 * np.cbrt(a),
                    np.minimum(0.999 + (top - 0.999) * (a - 1.0) / 0.2, top))
-    p = Profile(grid=default_grid, values=np.sign(x) * mag,
-                tail_right=top, tail_left=-top)
-    report = check_cone(p, ledger)
+    return Profile(grid=grid, values=np.sign(x) * mag, tail_right=top, tail_left=-top)
+
+
+def test_far_pair_modulus_violation_is_not_member(default_grid, ledger):
+    top = 1.0650
+    report = check_cone(_far_pair(default_grid, top), ledger)
     assert report.holder_ratio == pytest.approx(2.0 * top / 2.4 ** (1.0 / 3.0), rel=1e-12)
     assert report.holder_ratio == pytest.approx(1.59090, abs=1e-5)
     assert ledger.c1 == pytest.approx(1.58914, abs=1e-5)
     assert not report.is_holder and not report.member
     assert report.is_bounded and report.is_odd and report.is_above_psi
+
+
+@given(st.lists(st.floats(-10.0, 10.0), max_size=300), st.booleans(),
+       st.floats(1e-3, 1.0), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)),
+       st.integers(-2, 2))
+@example([], False, 0.05, 1.0, 0)
+@example([], False, 0.05, 0.0, 1)
+@example([0.3], False, 0.2, 1.0, 1)
+@example([0.25, -0.5], False, 0.2, 1.0, 0)
+@example([0.25, -0.5], False, 0.2, 1.0, -1)
+@example([0.25, -0.5], False, 0.2, 1.0, 1)
+@settings(max_examples=300, deadline=None)
+def test_floored_holder_ratio_is_max_of_floor_and_ratio(values, walk, h, fraction, ulps):
+    # floors below, at and above the exact ratio, down to an ulp either side;
+    # a walk reaches its worst pair at long lags, white noise at short ones
+    v = np.cumsum(values) if walk else np.array(values, dtype=float)
+    ratio = _holder_ratio(v, h)
+    floor = ratio * fraction if ratio > 0.0 else fraction
+    for _ in range(abs(ulps)):
+        floor = float(np.nextafter(floor, math.copysign(math.inf, ulps)))
+    floor = max(floor, 0.0)
+    assert _holder_ratio(v, h, floor) == max(floor, ratio)
+
+
+def _single_condition_failures(grid, ledger):
+    member = random_cone_members(1, grid, ledger, seed=3)[0]
+    c = grid.center_index
+    big = 2.0 * ledger.c0
+    oversized = Profile(grid=grid, values=np.full(grid.n_points, big),
+                        tail_right=big, tail_left=-big)
+    skew = member.values.copy()
+    skew[c + 5] += 1e-9
+    sag = member.values.copy()
+    sag[[c - 5, c + 5]] = 0.0
+    return {"is_bounded": oversized, "is_odd": replace(member, values=skew),
+            "is_above_psi": replace(member, values=sag),
+            "is_holder": _far_pair(grid, 1.0650)}
+
+
+def test_single_condition_failures_fail_only_their_condition(default_grid, ledger):
+    conditions = {"is_bounded", "is_holder", "is_odd", "is_above_psi"}
+    for failed, p in _single_condition_failures(default_grid, ledger).items():
+        report = check_cone(p, ledger)
+        # the oversized constant is even as well as unbounded
+        held = conditions - {failed} - ({"is_odd"} if failed == "is_bounded" else set())
+        assert not getattr(report, failed)
+        assert all(getattr(report, c) for c in held), (failed, report)
+
+
+def test_is_cone_member_agrees_with_check_cone(default_grid, ledger, kink_q0):
+    profiles = [initial_guess("erf", default_grid, ledger),
+                initial_guess("sign", default_grid, ledger), kink_q0.solution,
+                *_single_condition_failures(default_grid, ledger).values()]
+    # the far pair's ratio 2P / 2.4^(1/3) crosses c1 near P = 1.0638
+    profiles += [_far_pair(default_grid, top) for top in np.linspace(1.062, 1.066, 41)]
+    for seed in range(6):
+        draws = random_cone_members(40, default_grid, ledger, seed=seed)
+        profiles += draws
+        for q in (0.0, ledger.q0 / 2.0, ledger.q0):
+            profiles += [apply_pq(m, KernelFamily(q)) for m in draws]
+    verdicts = [(is_cone_member(p, ledger), check_cone(p, ledger).member) for p in profiles]
+    assert all(floored == exact for floored, exact in verdicts)
+    members = sum(exact for _, exact in verdicts)
+    assert 0 < len(verdicts) - members and members > 900

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -333,7 +334,7 @@ def test_profile_operators_reject_profiles_that_are_not_odd(default_grid, apply)
         values = p.values.copy()
         values[node] = value
         with pytest.raises(ValueError):
-            apply(p.with_values(values))
+            apply(replace(p, values=values))
 
 
 def test_pq_tail_mapping(default_grid):

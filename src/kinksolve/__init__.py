@@ -34,15 +34,11 @@ from .grid import (
 )
 from .kernels import (
     KernelFamily,
-    eval_k0,
-    eval_k1,
     fourier_symbol,
 )
 from .operators import (
     OperatorConfig,
     apply_pq,
-    apply_t0,
-    apply_t1,
     apply_tq,
     build_operator,
     psi,
@@ -66,9 +62,9 @@ __all__ = [
     "GridSpec", "Profile", "make_grid", "odd_defect", "profile_from_csv",
     "profile_from_json", "profile_to_csv", "profile_to_json", "project_odd",
     "sample", "sup_distance", "sup_norm",
-    "KernelFamily", "eval_k0", "eval_k1", "fourier_symbol",
-    "OperatorConfig", "apply_pq", "apply_t0", "apply_t1", "apply_tq",
-    "build_operator", "psi", "t0_psi_analytic",
+    "KernelFamily", "fourier_symbol",
+    "OperatorConfig", "apply_pq", "apply_tq", "build_operator", "psi",
+    "t0_psi_analytic",
     "ScanConfig", "ScanReport", "ScanSample", "scan",
     "SolveConfig", "SolveReport", "decay_ratio",
     "initial_guess", "solve",

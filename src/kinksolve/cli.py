@@ -36,7 +36,7 @@ from .cone import (
 )
 from .grid import make_grid, profile_to_csv, profile_to_json, sample, sup_distance
 from .kernels import KernelFamily
-from .operators import OperatorConfig, apply_pq, apply_t0, apply_tq, psi, t0_psi_analytic
+from .operators import OperatorConfig, apply_pq, apply_tq, psi, t0_psi_analytic
 from .qscan import ScanConfig, scan
 from .solver import SolveConfig, initial_guess, solve
 
@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--max-iter", type=int, default=10000)
     p_solve.add_argument("--omega", type=float, default=1.0)
     p_solve.add_argument("--init", default="erf",
-                         help="erf | psi | sign | file:PATH")
+                         help="erf | sign | file:PATH")
     p_solve.add_argument("--method", choices=["quadrature", "spectral"],
                          default="quadrature")
     p_solve.add_argument("--out", default="solution.csv")
@@ -121,11 +121,9 @@ def _build_parser() -> _Parser:
 def _parse_init(raw: str) -> tuple[str, str | None]:
     if raw.startswith("file:"):
         return "from_file", raw[5:]
-    # psi and psi_scaled name twice the Gaussian ramp, which is erf
-    alias = {"erf": "erf", "psi": "erf", "psi_scaled": "erf", "sign": "sign"}
-    if raw not in alias:
+    if raw not in ("erf", "sign"):
         raise _UsageError(f"unknown --init value {raw!r}")
-    return alias[raw], None
+    return raw, None
 
 
 def _load_or_compute_ledger(grid, ledger_path):
@@ -178,7 +176,8 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
     checks: list[tuple[str, float, float, bool]] = []
 
     ramp = sample(psi, grid, 0.5, -0.5)
-    oracle_err = float(np.max(np.abs(apply_t0(ramp).values - t0_psi_analytic(grid.x))))
+    smoothed = apply_tq(ramp, KernelFamily(0.0)).values
+    oracle_err = float(np.max(np.abs(smoothed - t0_psi_analytic(grid.x))))
     checks.append(("analytic smoothing oracle", oracle_err, 1e-8, oracle_err <= 1e-8))
 
     family = KernelFamily(args.q)

@@ -173,13 +173,16 @@ def profile_from_csv(path, tail_right: float | None = None,
         raise ValueError(f"{path}: too few rows for a profile")
     x = np.array([r[0] for r in rows])
     values = np.array([r[1] for r in rows])
-    # full-range ratio averages out the per-node 17-digit rounding
     spacing = (x[-1] - x[0]) / (len(x) - 1)
     if np.max(np.abs(np.diff(x) - spacing)) > 1e-9 * spacing:
         raise ValueError(f"{path}: nodes are not uniformly spaced")
     if abs(x[0] + x[-1]) > 1e-9 * spacing:
         raise ValueError(f"{path}: grid is not symmetric about 0")
-    grid = make_grid(float(x[-1]), float(spacing))
+    # the step off the centre node 0 is h written to 17 digits, which reads
+    # back exactly, where the full-range ratio can land an ulp off h; with
+    # an even row count it is still a step, and make_grid rejects L / step
+    c = len(x) // 2
+    grid = make_grid(float(x[-1]), float(x[c + 1] - x[c]))
     tr = float(values[-1]) if tail_right is None else float(tail_right)
     tl = float(values[0]) if tail_left is None else float(tail_left)
     return Profile(grid=grid, values=values, tail_right=tr, tail_left=tl)

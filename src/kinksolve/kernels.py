@@ -111,16 +111,6 @@ def kernel_cumulative(t, weights):
     return float(out) if out.ndim == 0 else out
 
 
-def eval_k0(u):
-    """Unit-mass Gaussian kernel K0(u) = exp(-u^2/4) / (2 sqrt(pi))."""
-    return eval_kernel(u, K0_WEIGHTS)
-
-
-def eval_k1(u):
-    """Curvature kernel K1(u) = (1/2 - u^2/4) K0(u); equals -K0''(u)."""
-    return eval_kernel(u, K1_WEIGHTS)
-
-
 def fourier_symbol(k, weights):
     """Frequency-space multiplier (a + b k^2) exp(-k^2) of a K0 + b K1."""
     a, b = weights

@@ -5,12 +5,12 @@ u on the M positive nodes plus its right tail tau (centre value 0, left half
 mirrored); `build_operator(grid, weights, cfg)` precomputes everything that
 depends on the grid, the weights (a, b) of the kernel a K0 + b K1 and the
 configuration once and returns a callable mapping (u, tau) to the image on
-those nodes, so oddness holds by construction.  The Profile-level `apply_*`
-functions take odd profiles only (ValueError otherwise): they read (u, tau)
-with `grid.odd_half`, push it through the same half-line code and mirror
-the image with `grid.odd_profile`, so the discretization commutes with
-x -> -x bitwise (the cube root amplifies any stray asymmetry at the kink's
-zero crossing by |noise|^(-2/3)).
+those nodes, so oddness holds by construction.  The Profile-level
+`apply_tq` and `apply_pq` take odd profiles only (ValueError otherwise): they
+read (u, tau) with `grid.odd_half`, push it through the same half-line code
+and mirror the image with `grid.odd_profile`, so the discretization commutes
+with x -> -x bitwise (the cube root amplifies any stray asymmetry at the
+kink's zero crossing by |noise|^(-2/3)).
 
 Two independent discretizations are provided:
 
@@ -39,8 +39,6 @@ from scipy.special import zeta as _sp_zeta
 
 from .grid import GridSpec, Profile, odd_half, odd_profile
 from .kernels import (
-    K0_WEIGHTS,
-    K1_WEIGHTS,
     KernelFamily,
     eval_kernel,
     eval_kernel_derivative,
@@ -238,38 +236,13 @@ def build_operator(grid: GridSpec, weights: tuple[float, float],
     return _Quadrature(grid, weights)
 
 
-def _apply_kernel(p: Profile, weights: tuple[float, float],
-                  cfg: OperatorConfig = OperatorConfig()) -> Profile:
-    """The odd profile p convolved with a K0 + b K1.  The kernel's mass is
-    a, so the tail tau maps to a tau."""
-    u, tau = odd_half(p)
-    return odd_profile(p.grid, build_operator(p.grid, weights, cfg)(u, tau),
-                       weights[0] * tau)
-
-
-def apply_t0(p: Profile) -> Profile:
-    """Smooth an odd profile with the unit-mass Gaussian kernel, by quadrature.
-
-    Constants are fixed, so the output tails equal the input tails.
-    """
-    return _apply_kernel(p, K0_WEIGHTS)
-
-
-def apply_t1(p: Profile) -> Profile:
-    """Convolve an odd profile with the zero-mass curvature kernel, by
-    quadrature.
-
-    The kernel integrates to zero, so constants map to zero and the output
-    tails vanish: at x -> +-inf the value tends to tail * (total mass) = 0.
-    """
-    return _apply_kernel(p, K1_WEIGHTS)
-
-
 def apply_tq(p: Profile, family: KernelFamily,
              cfg: OperatorConfig = OperatorConfig()) -> Profile:
     """Apply the combined linear operator (Gaussian + q^2 curvature) to an
-    odd profile."""
-    return _apply_kernel(p, family.weights, cfg)
+    odd profile.  The kernel's mass is 1, so the tail tau maps to tau; at
+    q = 0 this is the Gaussian smoothing T0."""
+    u, tau = odd_half(p)
+    return odd_profile(p.grid, build_operator(p.grid, family.weights, cfg)(u, tau), tau)
 
 
 def apply_pq(p: Profile, family: KernelFamily,

@@ -8,6 +8,7 @@ import scipy
 
 from kinksolve.cli import main
 from kinksolve.grid import Profile, profile_from_csv, profile_to_csv
+from kinksolve.qscan import ScanReport, ScanSample
 from kinksolve.solver import SolveConfig, initial_guess, solve
 
 
@@ -110,6 +111,17 @@ def test_solve_restarts_from_its_own_csv_on_a_rounded_grid(workdir):
                  "--out", "r7.csv"]) == 0
 
 
+# 17 digits read the first positive node back as h exactly, while the
+# full-range ratio (x[-1] - x[0]) / (n - 1) lands an ulp off h on these grids
+@pytest.mark.parametrize("half_width, spacing",
+                         [("5.201", "0.007"), ("11.2", "0.007"), ("5.148", "0.003")])
+def test_solve_restarts_from_its_own_csv_on_a_grid_with_inexact_range(
+        workdir, ledger_file, half_width, spacing):
+    grid = ["--L", half_width, "--h", spacing, "--ledger", str(ledger_file)]
+    assert main(["solve", *grid, "--out", "s.csv"]) == 0
+    assert main(["solve", *grid, "--init", "file:s.csv", "--out", "r.csv"]) == 0
+
+
 def test_init_sign_matches_library_start(workdir, ledger_file, default_grid, ledger):
     assert main(["solve", "--q", "0.1", "--init", "sign", "--out", "sign.csv",
                  "--ledger", str(ledger_file)]) == 0
@@ -185,14 +197,13 @@ def test_solve_with_a_loaded_ledger_that_breaks_an_invariant_exits_3(
     assert not (workdir / "sol.csv").exists()
 
 
-def test_init_psi_alias_matches_erf(workdir, ledger_file):
-    # --init psi (and psi_scaled) name twice the Gaussian ramp, i.e. erf
-    for init in ("erf", "psi", "psi_scaled"):
-        assert main(["solve", "--q", "0.1", "--init", init, "--out", f"{init}.csv",
-                     "--ledger", str(ledger_file)]) == 0
-    erf_bytes = (workdir / "erf.csv").read_bytes()
-    assert (workdir / "psi.csv").read_bytes() == erf_bytes
-    assert (workdir / "psi_scaled.csv").read_bytes() == erf_bytes
+def test_init_psi_aliases_exit_1(workdir, capsys):
+    # erf is the one name of the Gaussian-ramp start
+    for init in ("psi", "psi_scaled"):
+        assert main(["solve", "--init", init, "--out", "sol.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unknown --init value {init!r}")
+    assert list(workdir.iterdir()) == []
 
 
 def test_constants_command(workdir):
@@ -327,6 +338,26 @@ def test_scan_cold_check_writes_cold_samples(workdir):
     assert [s["q"] for s in d["cold_samples"]] == [s["q"] for s in d["samples"]]
     assert len(d["cold_samples"]) == 2
     assert d["warm_cold_agree"] is True
+
+
+def test_scan_default_prints_the_bracket(workdir, capsys):
+    assert main(["scan", "--out", "scan.json"]) == 0
+    assert "critical deformation bracket: [2.676544, 2.676636]" in capsys.readouterr().out
+    d = json.loads((workdir / "scan.json").read_text())
+    assert d["q_star_bracket"] == [2.676544189453125, 2.6766357421875]
+
+
+def test_scan_warns_when_warm_and_cold_disagree(workdir, capsys, monkeypatch):
+    from kinksolve import cli
+
+    sample = ScanSample(q=0.0, converged=True, final_residual=0.0, kink_amplitude=1.0)
+    monkeypatch.setattr(cli, "scan", lambda *args: ScanReport(
+        samples=[sample], q_star_bracket=None, cold_samples=[sample],
+        warm_cold_agree=False))
+    assert main(["scan", "--cold-check", "--out", "scan.json"]) == 0
+    out, err = capsys.readouterr()
+    assert "no kink/no-kink boundary in the scanned range" in out
+    assert err.startswith("WARNING: warm- and cold-started classifications disagree")
 
 
 def test_manifest_lists_outputs(workdir):

@@ -17,8 +17,6 @@ from kinksolve.kernels import (
     K1_WEIGHTS,
     KernelFamily,
     abs_mass_above,
-    eval_k0,
-    eval_k1,
     eval_kernel,
     eval_kernel_derivative,
     fourier_symbol,
@@ -62,38 +60,39 @@ def test_family_rejects_negative_q():
 
 
 def test_k0_peak_value():
-    assert eval_k0(0.0) == pytest.approx(1.0 / (2.0 * SQRT_PI), abs=1e-15)
-    assert eval_k0(0.0) == pytest.approx(0.28209479177, abs=1e-11)
+    assert eval_kernel(0.0, K0_WEIGHTS) == pytest.approx(1.0 / (2.0 * SQRT_PI), abs=1e-15)
+    assert eval_kernel(0.0, K0_WEIGHTS) == pytest.approx(0.28209479177, abs=1e-11)
 
 
 def test_k0_at_two():
     # direct evaluation: (1/(2 sqrt(pi))) e^{-1}
-    assert eval_k0(2.0) == pytest.approx(math.exp(-1.0) / (2.0 * SQRT_PI), rel=1e-15)
-    assert eval_k0(2.0) == pytest.approx(0.10377687, abs=1e-8)
+    assert eval_kernel(2.0, K0_WEIGHTS) == pytest.approx(
+        math.exp(-1.0) / (2.0 * SQRT_PI), rel=1e-15)
+    assert eval_kernel(2.0, K0_WEIGHTS) == pytest.approx(0.10377687, abs=1e-8)
 
 
 @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
 @settings(max_examples=300, deadline=None)
 def test_k0_even_and_positive(u):
-    assert eval_k0(u) == eval_k0(-u)
-    assert eval_k0(u) > 0.0
+    assert eval_kernel(u, K0_WEIGHTS) == eval_kernel(-u, K0_WEIGHTS)
+    assert eval_kernel(u, K0_WEIGHTS) > 0.0
 
 
 def test_k1_peak_value():
-    assert eval_k1(0.0) == pytest.approx(1.0 / (4.0 * SQRT_PI), abs=1e-15)
-    assert eval_k1(0.0) == pytest.approx(0.14104739589, abs=1e-11)
+    assert eval_kernel(0.0, K1_WEIGHTS) == pytest.approx(1.0 / (4.0 * SQRT_PI), abs=1e-15)
+    assert eval_kernel(0.0, K1_WEIGHTS) == pytest.approx(0.14104739589, abs=1e-11)
 
 
 def test_k1_sign_change_at_sqrt2():
     # the factor (1/2 - u^2/4) vanishes at u^2 = 2, up to the rounding of
     # fl(sqrt(2))^2
-    assert abs(eval_k1(math.sqrt(2.0))) < 5e-17
-    assert eval_k1(1.4) > 0.0
-    assert eval_k1(1.5) < 0.0
+    assert abs(eval_kernel(math.sqrt(2.0), K1_WEIGHTS)) < 5e-17
+    assert eval_kernel(1.4, K1_WEIGHTS) > 0.0
+    assert eval_kernel(1.5, K1_WEIGHTS) < 0.0
 
 
 def test_k1_zero_total_mass():
-    assert riemann(eval_k1) == pytest.approx(0.0, abs=1e-12)
+    assert riemann(lambda u: eval_kernel(u, K1_WEIGHTS)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_k1_is_negative_second_derivative_of_k0():
@@ -101,15 +100,16 @@ def test_k1_is_negative_second_derivative_of_k0():
     # step balances truncation against roundoff in the double subtraction
     eps = 1e-4
     for u in [0.0, 0.3, 1.0, math.sqrt(2.0), 2.5, 4.0]:
-        second = (eval_k0(u + eps) - 2.0 * eval_k0(u) + eval_k0(u - eps)) / eps**2
-        assert eval_k1(u) == pytest.approx(-second, abs=1e-6)
-        assert eval_k1(u) == pytest.approx(
-            (0.5 - u * u / 4.0) * eval_k0(u), abs=1e-12)
+        second = (eval_kernel(u + eps, K0_WEIGHTS) - 2.0 * eval_kernel(u, K0_WEIGHTS)
+                  + eval_kernel(u - eps, K0_WEIGHTS)) / eps**2
+        assert eval_kernel(u, K1_WEIGHTS) == pytest.approx(-second, abs=1e-6)
+        assert eval_kernel(u, K1_WEIGHTS) == pytest.approx(
+            (0.5 - u * u / 4.0) * eval_kernel(u, K0_WEIGHTS), abs=1e-12)
 
 
 def test_kq_reduces_to_k0_at_q0():
     fam = KernelFamily(0.0)
-    assert eval_kernel(0.0, fam.weights) == eval_k0(0.0)
+    assert eval_kernel(0.0, fam.weights) == eval_kernel(0.0, K0_WEIGHTS)
 
 
 def test_kq_peak_at_q1():
@@ -151,7 +151,7 @@ def test_kq_derivative_matches_finite_difference():
 def test_k0_derivative_formula():
     for u in [0.4, 1.7, -2.2]:
         assert eval_kernel_derivative(u, KernelFamily(0.0).weights) == pytest.approx(
-            -0.5 * u * eval_k0(u), rel=1e-15)
+            -0.5 * u * eval_kernel(u, K0_WEIGHTS), rel=1e-15)
         assert eval_kernel_derivative(u, K0_WEIGHTS) == eval_kernel_derivative(
             u, KernelFamily(0.0).weights)
 
@@ -217,7 +217,8 @@ def test_tail_mass_gaussian_closed_form():
     assert right == pytest.approx(0.078649, abs=1e-6)
     # quadrature verification
     u = np.linspace(2.0, 16.0, 1_400_001)
-    assert right == pytest.approx(float(np.trapezoid(eval_k0(u), u)), abs=1e-10)
+    assert right == pytest.approx(float(np.trapezoid(eval_kernel(u, K0_WEIGHTS), u)),
+                                  abs=1e-10)
 
 
 def test_tail_mass_quadrature_at_positive_q():
@@ -256,7 +257,7 @@ def test_kernel_norms_closed_form_at_q1():
     # a_1 = 1 - 2 erfc(u*/2) + 2 u* K0(u*) with u* = sqrt(6); e_1 telescopes
     # through values of Kq at 0 and at the derivative root sqrt(10)
     us = math.sqrt(6.0)
-    a1 = 1.0 - 2.0 * erfc(us / 2.0) + 2.0 * us * eval_k0(us)
+    a1 = 1.0 - 2.0 * erfc(us / 2.0) + 2.0 * us * eval_kernel(us, K0_WEIGHTS)
     fam = KernelFamily(1.0)
     assert kq_abs_mass(fam) == pytest.approx(a1, abs=1e-12)
     vs = math.sqrt(10.0)
@@ -276,7 +277,7 @@ def test_abs_masses_match_quadrature_oracle(q):
 
 def test_k1_abs_masses_match_quadrature_oracle(ledger):
     # the two K1 masses behind c4, as the ledger computes them
-    k1_mass = quad_abs_mass(eval_k1, [math.sqrt(2.0)])
+    k1_mass = quad_abs_mass(lambda u: eval_kernel(u, K1_WEIGHTS), [math.sqrt(2.0)])
     k1_deriv_mass = quad_abs_mass(lambda u: eval_kernel_derivative(u, K1_WEIGHTS),
                                   [math.sqrt(6.0)])
     assert abs(2.0 * abs_mass_above(0.0, K1_WEIGHTS) - k1_mass) <= 1e-13
@@ -304,6 +305,14 @@ def test_src_modules_read_every_import():
                 imported |= {a.asname or a.name for a in node.names}
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= read, (path.name, sorted(imported - read))
+
+
+def test_package_exports_exactly_what_its_init_imports():
+    # a name deleted from a module cannot linger in the export list
+    tree = ast.parse(Path(kinksolve.__file__).read_text())
+    imported = [a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(kinksolve.__all__) == sorted(imported)
 
 
 def test_src_does_not_import_scipy_integrate():
@@ -368,8 +377,8 @@ def test_weighted_evaluators_match_separate_formulas(q):
     u = np.concatenate([np.linspace(-30.0, 30.0, 6001), roots, np.negative(roots)])
     g = (1.0 / (2.0 * SQRT_PI)) * np.exp(-0.25 * u * u)
     pairs = [
-        (eval_k0(u), g),
-        (eval_k1(u), (0.5 - 0.25 * u * u) * g),
+        (eval_kernel(u, K0_WEIGHTS), g),
+        (eval_kernel(u, K1_WEIGHTS), (0.5 - 0.25 * u * u) * g),
         (eval_kernel(u, fam.weights), (1.0 + q2 * (0.5 - 0.25 * u * u)) * g),
         (eval_kernel_derivative(u, K0_WEIGHTS), -0.5 * u * g),
         (eval_kernel_derivative(u, K1_WEIGHTS), -0.5 * u * (1.5 - 0.25 * u * u) * g),
@@ -397,7 +406,7 @@ FAR_LIMITS = {
     "antiderivative": (lambda u, fam: kernel_cumulative(u, fam.weights),
                        lambda u, a: a if u > 0.0 else 0.0),
     "symbol": (lambda u, fam: fourier_symbol(u, fam.weights), lambda u, a: 0.0),
-    "k1": (lambda u, fam: eval_k1(u), lambda u, a: 0.0),
+    "k1": (lambda u, fam: eval_kernel(u, K1_WEIGHTS), lambda u, a: 0.0),
     "k1_antiderivative": (lambda u, fam: kernel_cumulative(u, K1_WEIGHTS),
                           lambda u, a: 0.0),
 }
@@ -431,7 +440,7 @@ def test_k1_cumulative_signed_formula():
     for t in [-1.0, 0.0, 0.8, 2.5]:
         u = np.linspace(-16.0, t, 1_600_001)
         assert kernel_cumulative(t, K1_WEIGHTS) == pytest.approx(
-            float(np.trapezoid(eval_k1(u), u)), abs=1e-10)
+            float(np.trapezoid(eval_kernel(u, K1_WEIGHTS), u)), abs=1e-10)
 
 
 def test_erf_against_maclaurin_series():

@@ -12,6 +12,7 @@ from kinksolve.grid import (
     make_grid,
     odd_defect,
     odd_half,
+    odd_profile,
     sample,
     sup_distance,
     sup_norm,
@@ -22,8 +23,6 @@ from kinksolve.operators import (
     _Quadrature,
     _smooth_length,
     apply_pq,
-    apply_t0,
-    apply_t1,
     apply_tq,
     build_operator,
     psi,
@@ -53,6 +52,13 @@ def odd_bandlimited(grid, seed, n_modes=3, amp=0.1, envelope_scale=4.0):
     return Profile(grid=grid, values=v, tail_right=0.0, tail_left=0.0)
 
 
+def apply_k1(p):
+    """The zero-mass curvature kernel K1 on an odd profile, by quadrature:
+    constants map to zero, so the tails do."""
+    u, tau = odd_half(p)
+    return odd_profile(p.grid, build_operator(p.grid, K1_WEIGHTS)(u, tau), 0.0)
+
+
 def odd_ramp(grid):
     """Odd clipped ramp with tails +-1: equal to sign(x) for |x| >= 2."""
     return sample(lambda x: np.clip(x / 2.0, -1.0, 1.0), grid, 1.0, -1.0)
@@ -66,33 +72,33 @@ def test_operator_config_validation():
 def test_t0_fixes_constants(default_grid):
     ramp = odd_ramp(default_grid)
     far = np.abs(default_grid.x) >= FAR_X
-    out = apply_t0(ramp)
+    out = apply_tq(ramp, KernelFamily(0.0))
     assert np.max(np.abs(out.values[far] - ramp.values[far])) < 1e-12
     assert (out.tail_right, out.tail_left) == (1.0, -1.0)
 
 
 def test_t0_matches_analytic_ramp_image(default_grid):
     ramp = sample(psi, default_grid, 0.5, -0.5)
-    out = apply_t0(ramp)
+    out = apply_tq(ramp, KernelFamily(0.0))
     assert np.max(np.abs(out.values - t0_psi_analytic(default_grid.x))) <= 1e-8
 
 
 def test_t0_preserves_oddness(default_grid):
     p = odd_bandlimited(default_grid, seed=3)
-    out = apply_t0(p)
+    out = apply_tq(p, KernelFamily(0.0))
     assert odd_defect(out) <= 1e-14
 
 
 def test_t1_kills_constants(default_grid):
     far = np.abs(default_grid.x) >= FAR_X
-    out = apply_t1(odd_ramp(default_grid))
+    out = apply_k1(odd_ramp(default_grid))
     assert np.max(np.abs(out.values[far])) < 1e-12
     assert (out.tail_right, out.tail_left) == (0.0, 0.0)
 
 
 def test_t1_of_odd_vanishes_at_origin(default_grid):
     ramp = sample(psi, default_grid, 0.5, -0.5)
-    out = apply_t1(ramp)
+    out = apply_k1(ramp)
     assert out.values[default_grid.center_index] == 0.0
 
 
@@ -100,15 +106,19 @@ def test_t1_sup_bound(default_grid):
     bound = _quadrature_abs_k1()
     for seed in range(6):
         p = odd_bandlimited(default_grid, seed=seed)
-        out = apply_t1(p)
+        out = apply_k1(p)
         assert sup_norm(out) <= sup_norm(p) * bound + 1e-9
 
 
 def test_tq_at_q0_equals_t0(default_grid):
+    # verify's analytic oracle smooths with apply_tq at q = 0: the weights are
+    # K0's, so the memoised T0 operator is the one that runs
+    assert KernelFamily(0.0).weights == K0_WEIGHTS
+    assert build_operator(default_grid, KernelFamily(0.0).weights) is build_operator(
+        default_grid, K0_WEIGHTS)
     p = odd_bandlimited(default_grid, seed=9)
-    a = apply_tq(p, KernelFamily(0.0))
-    b = apply_t0(p)
-    assert np.all(a.values == b.values)
+    image = apply_tq(p, KernelFamily(0.0)).values[default_grid.center_index + 1:]
+    assert np.array_equal(image, build_operator(default_grid, K0_WEIGHTS)(*odd_half(p)))
 
 
 def test_tq_unit_mass_for_all_q(default_grid):
@@ -184,6 +194,7 @@ def test_tq_linearity(default_grid):
 def test_t0_monotone_comparison_on_positive_half(default_grid):
     # odd p >= odd r on x > 0 implies the same ordering of the images
     c = default_grid.center_index
+    t0 = KernelFamily(0.0)
     for seed in range(5):
         r = odd_bandlimited(default_grid, seed=100 + seed)
         bump_pos = np.abs(odd_bandlimited(default_grid, seed=200 + seed).values[c + 1:])
@@ -192,7 +203,7 @@ def test_t0_monotone_comparison_on_positive_half(default_grid):
         values[:c] -= bump_pos[::-1]
         p = Profile(grid=default_grid, values=values, tail_right=0.0, tail_left=0.0)
         assert np.all(p.values[c + 1:] >= r.values[c + 1:])
-        image_diff = apply_t0(p).values - apply_t0(r).values
+        image_diff = apply_tq(p, t0).values - apply_tq(r, t0).values
         assert np.min(image_diff[c + 1:]) >= -1e-12
 
 
@@ -264,7 +275,7 @@ def test_half_line_operator_is_positive_half_of_tq(default_grid, method):
         assert np.array_equal(half, apply_tq(p, KernelFamily(q), cfg).values[c + 1:])
     if method == "quadrature":
         half = build_operator(default_grid, K1_WEIGHTS)(p.values[c + 1:], p.tail_right)
-        assert np.array_equal(half, apply_t1(p).values[c + 1:])
+        assert np.array_equal(half, apply_k1(p).values[c + 1:])
 
 
 @pytest.mark.parametrize("method", ["quadrature", "spectral"])
@@ -321,7 +332,7 @@ def test_quadrature_spectrum_matches_direct_convolution(half_width, spacing, wei
 
 
 @pytest.mark.parametrize("apply", [
-    apply_t0, apply_t1,
+    lambda p: apply_tq(p, KernelFamily(0.0)), apply_k1,
     lambda p: apply_tq(p, KernelFamily(0.5)),
     lambda p: apply_pq(p, KernelFamily(0.5)),
 ], ids=["t0", "t1", "tq", "pq"])
@@ -348,9 +359,10 @@ def test_curvature_kernel_derivative_mass():
     # |K1'| integrates to 2 (K1(0) - 2 K1(sqrt(6))): the derivative is
     # single-signed between its roots 0 and sqrt(6), so the absolute
     # integral telescopes through K1 values; checked against a Riemann sum
-    from kinksolve.kernels import K1_WEIGHTS, eval_k1, eval_kernel_derivative
+    from kinksolve.kernels import eval_kernel_derivative
 
-    closed = 2.0 * (eval_k1(0.0) - 2.0 * eval_k1(math.sqrt(6.0)))
+    closed = 2.0 * (eval_kernel(0.0, K1_WEIGHTS)
+                    - 2.0 * eval_kernel(math.sqrt(6.0), K1_WEIGHTS))
     u = np.arange(-14.0, 14.0, 1e-5)
     riemann = float(np.sum(np.abs(eval_kernel_derivative(u, K1_WEIGHTS)))) * 1e-5
     assert closed == pytest.approx(riemann, abs=1e-7)

@@ -119,13 +119,16 @@ class _Quadrature:
     window and the trapezoid rule converges superalgebraically.  The
     'valid' convolution of that extension with the kernel row, started at
     node 1 - m, yields exactly the wanted outputs.  It is taken as a
-    product of spectra: the spectrum of h * row is computed once, at a
-    5-smooth length N >= M + 2m + 1.  Each application writes the extension
-    once, by slices, into a fresh zeroed FFT input of length N and costs one
-    rfft/irfft pair, with the spectra multiplied in place; the operator holds
-    no mutable state, so a memoised build can be shared.  N is at least the
-    extension's length, so the circular convolution has no wrap-around on the
-    outputs 2m .. 2m + M - 1 it keeps.  The kernel is a K0 + b K1 with
+    product of spectra: the spectrum of h * row is computed once, at the
+    least 5-smooth length N >= M + 2m, the extension's length.  Each
+    application writes the extension once, by slices, into a fresh zeroed
+    FFT input of length N and costs one rfft/irfft pair, with the spectra
+    multiplied in place; the operator holds no mutable state, so a memoised
+    build can be shared.  The linear convolution of the extension with the
+    row (length 2m + 1) ends at index M + 4m - 1, so the circular one of
+    length N folds only its indices N and above back, onto indices below
+    M + 4m - N <= 2m: the outputs 2m .. 2m + M - 1 it keeps have no
+    wrap-around.  The kernel is a K0 + b K1 with
     weights (a, b); the mass outside the window is added in closed form
     through its cumulative integral C and total mass a:
     tail_right (a - C(w)) + tail_left C(-w).
@@ -160,7 +163,7 @@ class _Quadrature:
         h = grid.spacing
         m = int(round(OperatorConfig.kernel_window / h))
         self.m = m
-        self.n_fft = _smooth_length(grid.center_index + 2 * m + 1)
+        self.n_fft = _smooth_length(grid.center_index + 2 * m)
         row = eval_kernel(np.arange(-m, m + 1) * h, weights)
         self.spectrum = np.fft.rfft(h * row, self.n_fft)
         self.odd_remainder = (weights[0] - kernel_cumulative(m * h, weights)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .cone import ConstantsLedger, check_cone
+from .cone import ConstantsLedger, check_cone, is_cone_member
 from .grid import (
     GridSpec,
     Profile,
@@ -124,10 +124,9 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
     else:
         raise ValueError(f"unknown initial guess {kind!r}")
 
-    report = check_cone(p, ledger)
-    if not report.member:
-        warnings.warn(f"initial guess {kind!r} is not a cone member: {report}",
-                      stacklevel=2)
+    if not is_cone_member(p, ledger):
+        warnings.warn(f"initial guess {kind!r} is not a cone member: "
+                      f"{check_cone(p, ledger)}", stacklevel=2)
     return p
 
 
@@ -196,7 +195,7 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
         iterations=len(trace),
         final_residual=residual,
         residual_trace=trace,
-        cone_member_final=check_cone(p, ledger).member,
+        cone_member_final=is_cone_member(p, ledger),
         decay_estimate=decay_ratio(p) if converged and tau > 0.5 else None,
         solution=p,
         boundary_defect=abs(u[-1] - tau),

@@ -311,7 +311,8 @@ def test_smooth_length_is_least_5_smooth_above():
 
 
 # (5, 0.5): the window 2m + 1 = 49 is wider than the grid; (20, 0.025):
-# M + 2m + 1 = 1761 = 3 * 587, so the FFT length is padded beyond it
+# M + 2m = 1760 = 2^5 * 5 * 11, so the FFT length is padded beyond it;
+# (40, 0.0125): M + 2m = 5120 = 2^10 * 5 is itself the FFT length
 @pytest.mark.parametrize("half_width, spacing",
                          [(5.0, 0.5), (20.0, 0.05), (20.0, 0.025), (40.0, 0.0125)])
 @pytest.mark.parametrize("weights", [(1.0, 0.25), K1_WEIGHTS])
@@ -320,7 +321,9 @@ def test_quadrature_spectrum_matches_direct_convolution(half_width, spacing, wei
     grid = make_grid(half_width, spacing)
     op = _Quadrature(grid, weights)
     h, m, c = spacing, op.m, grid.center_index
-    assert op.n_fft >= c + 2 * m + 1
+    assert op.n_fft >= c + 2 * m
+    if (half_width, spacing) == (40.0, 0.0125):
+        assert op.n_fft == c + 2 * m
     row = eval_kernel(np.arange(-m, m + 1) * h, weights)
     x = grid.x[c + 1:]
     u, tau = np.cbrt(np.tanh(x)) + 0.05 * np.sin(3.0 * x), 1.0

@@ -97,7 +97,8 @@ def test_initial_guess_warns_outside_cone(default_grid, ledger, tmp_path):
                   tail_right=2.0 * ledger.c0, tail_left=-2.0 * ledger.c0)
     path = tmp_path / "bad.json"
     profile_to_json(bad, path)
-    with pytest.warns(UserWarning):
+    # the warning carries check_cone's full report, not only the verdict
+    with pytest.warns(UserWarning, match=r"is_bounded=False, sup_value="):
         initial_guess("from_file", default_grid, ledger, path=str(path))
 
 
@@ -195,6 +196,23 @@ def test_solve_iterates_stay_in_cone(default_grid, ledger):
     assert len(iterates) == rep.iterations + 1
     assert np.array_equal(iterates[-2].values, rep.solution.values)
     assert all(check_cone(p, ledger).member for p in iterates)
+
+
+@pytest.mark.parametrize("spec", [(20.0, 0.05), (40.0, 0.0125)])
+@pytest.mark.parametrize("q_of", [lambda q0: 0.0, lambda q0: q0 / 2.0], ids=["0", "q0/2"])
+def test_cone_member_final_is_check_cone_verdict_on_kinks(ledger, spec, q_of):
+    rep = solve(SolveConfig(q=q_of(ledger.q0)), make_grid(*spec), ledger)
+    assert rep.converged
+    assert rep.cone_member_final is check_cone(rep.solution, ledger).member is True
+
+
+def test_cone_member_final_is_check_cone_verdict_off_the_cone(default_grid, ledger):
+    # five undamped steps at q = 5 leave the cone's modulus and sup bounds
+    rep = solve(SolveConfig(q=5.0, max_iter=5), default_grid, ledger)
+    assert rep.stop_reason == "budget"
+    report = check_cone(rep.solution, ledger)
+    assert not report.is_holder
+    assert rep.cone_member_final is report.member is False
 
 
 def test_solve_trace_tail_roughly_decreasing(kink_q0):

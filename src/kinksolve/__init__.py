@@ -22,12 +22,10 @@ from .grid import (
     GridSpec,
     Profile,
     make_grid,
-    odd_defect,
     profile_from_csv,
     profile_from_json,
     profile_to_csv,
     profile_to_json,
-    project_odd,
     sample,
     sup_distance,
     sup_norm,
@@ -59,9 +57,8 @@ __all__ = [
     "ConeReport", "ConstantsLedger", "LedgerInvariantError", "c5_bound",
     "check_cone", "check_preservation", "compute_constants", "is_cone_member",
     "random_cone_members",
-    "GridSpec", "Profile", "make_grid", "odd_defect", "profile_from_csv",
-    "profile_from_json", "profile_to_csv", "profile_to_json", "project_odd",
-    "sample", "sup_distance", "sup_norm",
+    "GridSpec", "Profile", "make_grid", "profile_from_csv", "profile_from_json",
+    "profile_to_csv", "profile_to_json", "sample", "sup_distance", "sup_norm",
     "KernelFamily", "fourier_symbol",
     "OperatorConfig", "apply_pq", "apply_tq", "build_operator", "psi",
     "t0_psi_analytic",

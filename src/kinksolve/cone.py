@@ -37,15 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import erf
 
-from .grid import (
-    GridSpec,
-    Profile,
-    json_field,
-    odd_defect,
-    odd_profile,
-    project_odd,
-    sup_norm,
-)
+from .grid import GridSpec, Profile, json_field, sup_norm
 from .kernels import (
     K1_WEIGHTS,
     KernelFamily,
@@ -60,9 +52,6 @@ _SQRT_PI = math.sqrt(math.pi)
 #: Tolerance credited to each inequality when judging cone membership, so
 #: that exact boundary cases (e.g. the barrier profile itself) pass.
 MEMBERSHIP_SLACK = 1e-10
-
-#: Antisymmetry defect tolerated by the oddness check.
-ODD_TOL = 1e-12
 
 #: Arguments d of the cube-root contraction factor tabulated in the JSON ledger.
 _C5_GRID = np.round(np.arange(0.05, 0.951, 0.05), 10)
@@ -109,20 +98,19 @@ class ConstantsLedger:
 
 @dataclass(frozen=True)
 class ConeReport:
-    """Outcome of the four membership conditions, with measured margins."""
+    """Outcome of the three membership conditions, with measured margins;
+    the fourth, oddness, holds for every Profile by construction."""
 
     is_bounded: bool
     sup_value: float
     is_holder: bool
     holder_ratio: float
-    is_odd: bool
-    odd_defect: float
     is_above_psi: bool
     psi_margin: float
 
     @property
     def member(self) -> bool:
-        return self.is_bounded and self.is_holder and self.is_odd and self.is_above_psi
+        return self.is_bounded and self.is_holder and self.is_above_psi
 
 
 def c5_bound(d: float) -> float:
@@ -229,22 +217,20 @@ def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:
 
 
 def _cone_report(p: Profile, ledger: ConstantsLedger, floor: float) -> ConeReport:
-    """The four membership conditions, the modulus search floored at floor."""
-    g, v = p.grid, p.values
+    """The membership conditions, the modulus search floored at floor."""
+    g = p.grid
     sup_value = sup_norm(p)
-    worst = _holder_ratio(v, g.spacing, floor)
-    defect = odd_defect(p)
-    margin = float(np.min(v[g.center_index + 1:] - ledger.c2 * psi(g.x_half)))
-    margin = min(margin, p.tail_right - ledger.c2 * 0.5)
+    worst = _holder_ratio(p.values, g.spacing, floor)
+    margin = float(np.min(p.u - ledger.c2 * psi(g.x_half)))
+    margin = min(margin, p.tau - ledger.c2 * 0.5)
     return ConeReport(
         is_bounded=sup_value <= ledger.c0 + MEMBERSHIP_SLACK, sup_value=sup_value,
         is_holder=worst <= ledger.c1 + MEMBERSHIP_SLACK, holder_ratio=worst,
-        is_odd=defect <= ODD_TOL, odd_defect=defect,
         is_above_psi=margin >= -MEMBERSHIP_SLACK, psi_margin=margin)
 
 
 def check_cone(p: Profile, ledger: ConstantsLedger) -> ConeReport:
-    """Evaluate the four cone-membership conditions on the grid nodes.
+    """Evaluate the cone-membership conditions on the grid nodes.
 
     The modulus ratio is the exact maximum over all node pairs.  It need not
     peak at short range: the sign start's worst pair is (-1.2, 1.2), and a
@@ -272,7 +258,7 @@ def check_preservation(p: Profile, family: KernelFamily,
         raise ValueError("input profile is not a cone member")
     if family.q > ledger.q0:
         raise ValueError(f"deformation {family.q} exceeds admissible bound {ledger.q0}")
-    return check_cone(apply_pq(project_odd(p), family), ledger)
+    return check_cone(apply_pq(p, family), ledger)
 
 
 def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,
@@ -281,8 +267,8 @@ def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,
 
     Amplitudes and frequencies are kept small enough that the modulus bound
     holds even for worst-case phase alignment; the draw is then clipped to
-    the sup bound, raised above the barrier on x > 0, and mirrored to exact
-    oddness, all operations that cannot increase the modulus constant.
+    the sup bound and raised above the barrier on x > 0, operations that
+    cannot increase the modulus constant.
     """
     rng = np.random.default_rng(seed)
     xp = grid.x_half
@@ -297,5 +283,5 @@ def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,
             freq = rng.uniform(0.2, 2.0)
             ripple += amp * np.sin(freq * xp) * envelope
         u = np.clip(kink + ripple, -ledger.c0, ledger.c0)
-        members.append(odd_profile(grid, np.maximum(u, barrier), 1.0))
+        members.append(Profile(grid=grid, u=np.maximum(u, barrier), tau=1.0))
     return members

@@ -1,9 +1,11 @@
-"""Symmetric truncated uniform grids and sampled profiles with tail values.
+"""Symmetric truncated uniform grids and odd sampled profiles with a tail.
 
-A profile represents a bounded continuous function on the whole line by its
-samples on [-L, L] plus two constants used analytically beyond the
-truncation.  Odd kinks carry tails -1 / +1; zero-padding would destroy the
-boundary behaviour, so the tails are explicit data, not an assumption.
+A profile represents a bounded continuous odd function on the whole line by
+its samples u on the positive nodes of [-L, L] plus the constant tau used
+analytically beyond x = L (and -tau beyond -L).  Odd kinks carry tau = 1;
+zero-padding would destroy the boundary behaviour, so the tail is explicit
+data, not an assumption.  Full-line samples enter only through the file
+loaders, which keep their odd part.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -69,84 +71,72 @@ def make_grid(half_width: float, spacing: float) -> GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """Samples of a function on a GridSpec plus its constant tail values."""
+    """An odd profile on a GridSpec: its values u on the M positive nodes and
+    its right tail tau.  The centre value is 0, the left half mirrors u and
+    the left tail is -tau, so oddness holds by construction."""
 
     grid: GridSpec
-    values: np.ndarray
-    tail_right: float
-    tail_left: float
+    u: np.ndarray
+    tau: float
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"expected {self.grid.n_points} values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
+        u = np.asarray(self.u, dtype=float)
+        m = self.grid.center_index
+        if u.shape != (m,):
+            raise ValueError(f"expected {m} values on the positive nodes, "
+                             f"got shape {u.shape}")
+        if not np.all(np.isfinite(u)):
             raise ValueError("profile values must be finite")
-        if not (math.isfinite(self.tail_right) and math.isfinite(self.tail_left)):
-            raise ValueError("profile tails must be finite")
-        object.__setattr__(self, "values", values)
+        if not math.isfinite(self.tau):
+            raise ValueError("profile tail must be finite")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "tau", float(self.tau))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The values on every node, [-u[::-1], 0, u], read-only."""
+        values = np.concatenate([-self.u[::-1], [0.0], self.u])
+        values.flags.writeable = False
+        return values
 
 
-def sample(f: Callable, grid: GridSpec, tail_right: float, tail_left: float) -> Profile:
-    """Sample the vectorised f at the grid nodes; rejects results that are
-    non-finite or not one value per node."""
-    return Profile(grid=grid, values=f(grid.x), tail_right=float(tail_right),
-                   tail_left=float(tail_left))
-
-
-def project_odd(p: Profile) -> Profile:
-    """Odd part of a profile: values[j] <- (values[j] - values[-j]) / 2.
-
-    Requires tail_left == -tail_right.  Idempotent, and exact (bitwise) on
-    profiles that are already odd.
-    """
-    if p.tail_left != -p.tail_right:
-        raise ValueError(
-            f"odd projection needs opposite tails, got ({p.tail_left}, {p.tail_right})"
-        )
-    return replace(p, values=0.5 * (p.values - p.values[::-1]))
-
-
-def odd_half(p: Profile) -> tuple[np.ndarray, float]:
-    """The values u on the positive nodes and the right tail tau of an odd
-    profile; ValueError unless p is odd to the bit."""
-    if p.tail_left != -p.tail_right or not np.array_equal(p.values, -p.values[::-1]):
-        raise ValueError("profile is not odd (values[-j] == -values[j], tails opposite)")
-    return p.values[p.grid.center_index + 1:], p.tail_right
-
-
-def odd_profile(grid: GridSpec, u: np.ndarray, tau: float) -> Profile:
-    """The odd profile with values u on the positive nodes and tails +-tau."""
-    return Profile(grid=grid, values=np.concatenate([-u[::-1], [0.0], u]),
-                   tail_right=tau, tail_left=-tau)
-
-
-def odd_defect(p: Profile) -> float:
-    """Largest violation of values[-j] = -values[j], including the tails."""
-    v = float(np.max(np.abs(p.values + p.values[::-1])))
-    return max(v, abs(p.tail_left + p.tail_right))
+def sample(f: Callable, grid: GridSpec, tau: float) -> Profile:
+    """The odd profile with values f(x) on the positive nodes and right tail
+    tau; rejects results of f that are non-finite or not one value per node."""
+    return Profile(grid=grid, u=f(grid.x_half), tau=tau)
 
 
 def sup_norm(p: Profile) -> float:
     """Maximum of |values| over nodes and tails."""
-    return max(float(np.max(np.abs(p.values))), abs(p.tail_right), abs(p.tail_left))
+    return max(float(np.max(np.abs(p.u))), abs(p.tau))
 
 
 def sup_distance(p: Profile, r: Profile) -> float:
     """Sup-norm distance between two profiles sharing a grid."""
     if p.grid != r.grid:
         raise ValueError("profiles live on different grids")
-    d = float(np.max(np.abs(p.values - r.values)))
-    return max(d, abs(p.tail_right - r.tail_right), abs(p.tail_left - r.tail_left))
+    return max(float(np.max(np.abs(p.u - r.u))), abs(p.tau - r.tau))
+
+
+def _odd_part(grid: GridSpec, values) -> np.ndarray:
+    """u of the odd part of samples on every node of grid:
+    (values[c + 1:] - values[c - 1::-1]) / 2, exact on odd samples."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n_points,):
+        raise ValueError(f"expected {grid.n_points} values, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("profile values must be finite")
+    c = grid.center_index
+    return 0.5 * (values[c + 1:] - values[c - 1::-1])
 
 
 # -- serialization ------------------------------------------------------------
 #
 # CSV: header "x,phi", one node per row, 17 significant digits, LF endings.
-# The CSV format carries nodes only; tails default to the endpoint samples on
-# load unless the caller supplies them.  JSON carries the full data model.
+# The CSV format carries nodes only; the tail defaults to the last node of
+# the odd part on load unless the caller supplies it.  JSON carries both
+# tails, tail_left written as -tau and checked on read.  Both loaders return
+# the odd part of the values they read.
 
 
 def profile_to_csv(p: Profile, path) -> None:
@@ -157,8 +147,7 @@ def profile_to_csv(p: Profile, path) -> None:
             writer.writerow([f"{xi:.17g}", f"{vi:.17g}"])
 
 
-def profile_from_csv(path, tail_right: float | None = None,
-                     tail_left: float | None = None) -> Profile:
+def profile_from_csv(path, tau: float | None = None) -> Profile:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -174,26 +163,26 @@ def profile_from_csv(path, tail_right: float | None = None,
     x = np.array([r[0] for r in rows])
     values = np.array([r[1] for r in rows])
     spacing = (x[-1] - x[0]) / (len(x) - 1)
-    if np.max(np.abs(np.diff(x) - spacing)) > 1e-9 * spacing:
+    # written as "within tolerance" so that a NaN node fails both checks
+    if not np.all(np.abs(np.diff(x) - spacing) <= 1e-9 * spacing):
         raise ValueError(f"{path}: nodes are not uniformly spaced")
-    if abs(x[0] + x[-1]) > 1e-9 * spacing:
+    if not abs(x[0] + x[-1]) <= 1e-9 * spacing:
         raise ValueError(f"{path}: grid is not symmetric about 0")
     # the step off the centre node 0 is h written to 17 digits, which reads
     # back exactly, where the full-range ratio can land an ulp off h; with
     # an even row count it is still a step, and make_grid rejects L / step
     c = len(x) // 2
     grid = make_grid(float(x[-1]), float(x[c + 1] - x[c]))
-    tr = float(values[-1]) if tail_right is None else float(tail_right)
-    tl = float(values[0]) if tail_left is None else float(tail_left)
-    return Profile(grid=grid, values=values, tail_right=tr, tail_left=tl)
+    u = _odd_part(grid, values)
+    return Profile(grid=grid, u=u, tau=u[-1] if tau is None else tau)
 
 
 def profile_to_json_dict(p: Profile) -> dict:
     return {
         "half_width": p.grid.half_width,
         "spacing": p.grid.spacing,
-        "tail_right": p.tail_right,
-        "tail_left": p.tail_left,
+        "tail_right": p.tau,
+        "tail_left": -p.tau,
         "values": p.values.tolist(),
     }
 
@@ -207,10 +196,14 @@ def json_field(d: dict, key: str, convert: Callable = float):
 
 
 def profile_from_json_dict(d: dict) -> Profile:
+    """The odd part of the profile d; ValueError unless tail_left == -tail_right."""
     grid = make_grid(json_field(d, "half_width"), json_field(d, "spacing"))
     values = json_field(d, "values", lambda v: np.asarray(v, dtype=float))
-    return Profile(grid=grid, values=values, tail_right=json_field(d, "tail_right"),
-                   tail_left=json_field(d, "tail_left"))
+    tau, left = json_field(d, "tail_right"), json_field(d, "tail_left")
+    if left != -tau:
+        raise ValueError(f"profile tails must be opposite, got tail_left={left!r} "
+                         f"and tail_right={tau!r}")
+    return Profile(grid=grid, u=_odd_part(grid, values), tau=tau)
 
 
 def profile_to_json(p: Profile, path) -> None:

@@ -1,16 +1,15 @@
 """Convolution operators on profiles and the cube-root fixed-point map.
 
-The operators work on the positive half-line.  An odd profile is its values
-u on the M positive nodes plus its right tail tau (centre value 0, left half
-mirrored); `build_operator(grid, weights, cfg)` precomputes everything that
-depends on the grid, the weights (a, b) of the kernel a K0 + b K1 and the
-configuration once and returns a callable mapping (u, tau) to the image on
-those nodes, so oddness holds by construction.  The Profile-level
-`apply_tq` and `apply_pq` take odd profiles only (ValueError otherwise): they
-read (u, tau) with `grid.odd_half`, push it through the same half-line code
-and mirror the image with `grid.odd_profile`, so the discretization commutes
-with x -> -x bitwise (the cube root amplifies any stray asymmetry at the
-kink's zero crossing by |noise|^(-2/3)).
+The operators work on the positive half-line, on the pair (u, tau) that a
+Profile holds: the values on the M positive nodes and the right tail.
+`build_operator(grid, weights, cfg)` precomputes everything that depends on
+the grid, the weights (a, b) of the kernel a K0 + b K1 and the configuration
+once and returns a callable mapping (u, tau) to the image on those nodes.
+The Profile-level `apply_tq` and `apply_pq` push a profile's (u, tau)
+through it and return the image as a profile, so oddness holds by
+construction and the discretization commutes with x -> -x bitwise (the cube
+root would amplify any stray asymmetry at the kink's zero crossing by
+|noise|^(-2/3)).
 
 Two independent discretizations are provided:
 
@@ -37,7 +36,7 @@ from scipy.special import erf
 from scipy.special import gamma as _sp_gamma
 from scipy.special import zeta as _sp_zeta
 
-from .grid import GridSpec, Profile, odd_half, odd_profile
+from .grid import GridSpec, Profile
 from .kernels import (
     KernelFamily,
     eval_kernel,
@@ -131,7 +130,7 @@ class _Quadrature:
     wrap-around.  The kernel is a K0 + b K1 with
     weights (a, b); the mass outside the window is added in closed form
     through its cumulative integral C and total mass a:
-    tail_right (a - C(w)) + tail_left C(-w).
+    tau (a - C(w)) - tau C(-w).
 
     Profiles are assumed continuous at the truncation; a mismatch between
     the edge samples and the tails contributes O(spacing * mismatch) error
@@ -244,8 +243,8 @@ def apply_tq(p: Profile, family: KernelFamily,
     """Apply the combined linear operator (Gaussian + q^2 curvature) to an
     odd profile.  The kernel's mass is 1, so the tail tau maps to tau; at
     q = 0 this is the Gaussian smoothing T0."""
-    u, tau = odd_half(p)
-    return odd_profile(p.grid, build_operator(p.grid, family.weights, cfg)(u, tau), tau)
+    image = build_operator(p.grid, family.weights, cfg)(p.u, p.tau)
+    return Profile(grid=p.grid, u=image, tau=p.tau)
 
 
 def apply_pq(p: Profile, family: KernelFamily,
@@ -255,6 +254,5 @@ def apply_pq(p: Profile, family: KernelFamily,
     Constant tails +-c map to +-c^(1/3) because the Gaussian part preserves
     constants and the curvature part annihilates them at infinity.
     """
-    u, tau = odd_half(p)
-    image = build_operator(p.grid, family.weights, cfg)(u, tau)
-    return odd_profile(p.grid, np.cbrt(image), float(np.cbrt(tau)))
+    image = build_operator(p.grid, family.weights, cfg)(p.u, p.tau)
+    return Profile(grid=p.grid, u=np.cbrt(image), tau=float(np.cbrt(p.tau)))

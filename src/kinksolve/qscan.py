@@ -88,7 +88,7 @@ class ScanReport:
 def _as_sample(q: float, report: SolveReport) -> ScanSample:
     return ScanSample(q=float(q), converged=report.converged,
                       final_residual=report.final_residual,
-                      kink_amplitude=float(report.solution.values[-1]))
+                      kink_amplitude=float(report.solution.u[-1]))
 
 
 def scan(cfg: ScanConfig, grid: GridSpec, ledger: ConstantsLedger) -> ScanReport:

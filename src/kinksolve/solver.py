@@ -1,12 +1,11 @@
 """Damped fixed-point iteration for the cube-root map, with diagnostics.
 
 Fixed points of the map solve the integral equation.  The invariant-cone
-argument lives entirely in odd functions, so the iteration does too: the
-start is projected onto odd profiles once, and from then on the iterate is
-the array u of its values on the positive nodes plus its right tail tau,
-pushed through the half-line operator built once per solve.  Oddness is
-exact by construction, and a Profile is built only at entry and exit.  The
-iterate is updated in place; the residual uses one scratch array per solve.
+argument lives entirely in odd functions, and so does a Profile: the
+iterate is a copy of the start's values u on the positive nodes plus its
+right tail tau, pushed through the half-line operator built once per solve,
+and a Profile is built again only at exit.  The iterate is updated in
+place; the residual uses one scratch array per solve.
 
 Convergence is declared on the map residual sup |image - iterate|, never on
 the damped step size, so damping cannot mask stagnation.  Non-convergence
@@ -28,12 +27,9 @@ from .cone import ConstantsLedger, check_cone, is_cone_member
 from .grid import (
     GridSpec,
     Profile,
-    odd_half,
-    odd_profile,
     profile_from_csv,
     profile_from_json,
     profile_to_json_dict,
-    project_odd,
 )
 from .kernels import KernelFamily
 from .operators import OperatorConfig, build_operator
@@ -107,20 +103,21 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
 
     erf       -- samples of erf(x), tails -1/+1
     sign      -- +-1 with the step smoothed by a linear ramp at the origin
-    from_file -- profile loaded from a CSV or JSON file
+    from_file -- the odd part of a profile loaded from a CSV or JSON file
     """
     if kind == "from_file":
         if path is None:
             raise ValueError("from_file initial guess needs a path")
-        # CSV carries nodes only; in the kink-iteration context the tails
-        # are the boundary values -1/+1 (JSON files carry theirs explicitly)
+        # CSV carries nodes only; in the kink-iteration context the tail is
+        # the boundary value 1 (JSON files carry theirs explicitly)
         p = (profile_from_json(path) if str(path).endswith(".json")
-             else profile_from_csv(path, tail_right=1.0, tail_left=-1.0))
+             else profile_from_csv(path, tau=1.0))
         _check_grid(p, grid)
     elif kind == "erf":
-        p = odd_profile(grid, erf(grid.x_half), 1.0)
+        p = Profile(grid=grid, u=erf(grid.x_half), tau=1.0)
     elif kind == "sign":
-        p = odd_profile(grid, np.minimum(grid.x_half / SIGN_RAMP_HALF_WIDTH, 1.0), 1.0)
+        p = Profile(grid=grid, u=np.minimum(grid.x_half / SIGN_RAMP_HALF_WIDTH, 1.0),
+                    tau=1.0)
     else:
         raise ValueError(f"unknown initial guess {kind!r}")
 
@@ -142,18 +139,16 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
           initial: Profile | None = None) -> SolveReport:
     """Iterate the map until the residual meets tol or max_iter is spent.
 
-    The start (`initial`, or the erf guess when it is None) is projected
-    onto odd profiles once; ValueError is raised when it lives on
-    another grid than `grid` or when its tails are not opposite.  The
-    default undamped iteration falls back to half damping when the residual
+    The start is `initial`, or the erf guess when it is None; ValueError
+    is raised when it lives on another grid than `grid`.  The default
+    undamped iteration falls back to half damping when the residual
     has grown five steps in a row, and records that as an event.  The decay
     estimate needs a kink (converged, tail above 1/2) and L above 8.
     """
     if initial is None:
         initial = initial_guess("erf", grid, ledger)
     _check_grid(initial, grid)
-    u, tau = odd_half(project_odd(initial))
-    u = u.copy()  # the loop updates the iterate in place
+    u, tau = initial.u.copy(), initial.tau  # the loop updates u in place
     scratch = np.empty_like(u)
     op = build_operator(grid, KernelFamily(cfg_solve.q).weights, cfg_op)
 
@@ -189,7 +184,7 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
         u += image
         tau = (1.0 - omega) * tau + omega * image_tau
 
-    p = odd_profile(grid, u, tau)
+    p = Profile(grid=grid, u=u, tau=tau)
     return SolveReport(
         converged=converged,
         iterations=len(trace),
@@ -206,15 +201,14 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
 
 def decay_ratio(p: Profile) -> float | None:
     """Geometric mean ratio of successive sup_{x > l} |tau - p(x)| over the
-    cutoffs l = 2, 4, ..., L/2 of the odd profile p with right tail tau,
-    which a solve may leave within tol of 1 (ValueError unless p is odd to
-    the bit): below 1 for a kink, 0.0 when p is saturated at +-tau beyond
-    x = 2, and None when L <= 8, where 2 is not below L/4."""
+    cutoffs l = 2, 4, ..., L/2 of the profile p with right tail tau, which
+    a solve may leave within tol of 1: below 1 for a kink, 0.0 when p is
+    saturated at +-tau beyond x = 2, and None when L <= 8, where 2 is not
+    below L/4."""
     g = p.grid
     if not _DECAY_STEP < g.half_width / 4.0:
         return None
-    u, tau = odd_half(p)
-    beyond = np.maximum.accumulate(np.abs(tau - u)[::-1])[::-1]
+    beyond = np.maximum.accumulate(np.abs(p.tau - p.u)[::-1])[::-1]
     cuts = _DECAY_STEP * np.arange(1, g.half_width // (2.0 * _DECAY_STEP) + 1)
     deltas = beyond[np.searchsorted(g.x_half, cuts, side="right")]
     # the deltas never increase, so those above the floor are a prefix

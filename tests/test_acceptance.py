@@ -19,7 +19,7 @@ from kinksolve.cone import (
     compute_constants,
     random_cone_members,
 )
-from kinksolve.grid import make_grid, odd_defect, sample, sup_distance
+from kinksolve.grid import Profile, make_grid, sample, sup_distance
 from kinksolve.kernels import (
     K1_WEIGHTS,
     KernelFamily,
@@ -58,7 +58,7 @@ def _report(n, elapsed, budget, detail):
 
 def test_criterion_1_analytic_oracle(grid):
     started = time.perf_counter()
-    ramp = sample(psi, grid, 0.5, -0.5)
+    ramp = sample(psi, grid, 0.5)
     smoothed = apply_tq(ramp, KernelFamily(0.0))
     sup_err = float(np.max(np.abs(smoothed.values - t0_psi_analytic(grid.x))))
     assert sup_err <= 1e-8
@@ -138,7 +138,8 @@ def test_criterion_5_existence_reproduction(grid, ledger):
         assert per_solve < 30.0
         assert rep.converged
         assert rep.final_residual <= 1e-12
-        assert odd_defect(rep.solution) <= 1e-13
+        v = rep.solution.values
+        assert np.array_equal(v, -v[::-1])
         assert abs(rep.solution.values[-1] - 1.0) <= 1e-6
         cubed = apply_tq(rep.solution, KernelFamily(q))
         cubed_residual = float(np.max(np.abs(cubed.values - rep.solution.values**3)))
@@ -151,7 +152,7 @@ def test_criterion_5_existence_reproduction(grid, ledger):
     elapsed = time.perf_counter() - started
     _report(5, elapsed, 60,
             f"q=0 and q=q0/2 converge (22 iterations each), residual <= 1e-12, "
-            f"odd <= 1e-13, boundary within 1e-6, cubed-form residual <= 1e-10")
+            f"odd to the bit, boundary within 1e-6, cubed-form residual <= 1e-10")
 
 
 def test_criterion_6_boundary_decay(solve_q0, ledger):
@@ -173,9 +174,9 @@ def test_criterion_7_discretization_consistency(grid, solve_q0):
     started = time.perf_counter()
     rng = np.random.default_rng(42)
     profiles = [
-        sample(lambda x: erf(x), grid, 1.0, -1.0),
-        sample(np.tanh, grid, 1.0, -1.0),
-        sample(psi, grid, 0.5, -0.5),
+        sample(lambda x: erf(x), grid, 1.0),
+        sample(np.tanh, grid, 1.0),
+        sample(psi, grid, 0.5),
     ]
     for _ in range(3):
         v = np.zeros(grid.n_points)
@@ -183,7 +184,7 @@ def test_criterion_7_discretization_consistency(grid, solve_q0):
             v += rng.uniform(-0.1, 0.1) * np.sin(rng.uniform(0.2, 2.0) * grid.x)
         v *= np.exp(-((grid.x / 4.0) ** 2))
         v = 0.5 * (v - v[::-1])
-        profiles.append(sample(lambda x, vv=v: vv, grid, 0.0, 0.0))
+        profiles.append(Profile(grid=grid, u=v[grid.center_index + 1:], tau=0.0))
     worst = 0.0
     for q in (0.0, 0.25, 0.5, 1.0):
         fam = KernelFamily(q)

@@ -5,9 +5,16 @@ import time
 import numpy as np
 import pytest
 import scipy
+from scipy.special import erf
 
 from kinksolve.cli import main
-from kinksolve.grid import Profile, profile_from_csv, profile_to_csv
+from kinksolve.grid import (
+    Profile,
+    profile_from_csv,
+    profile_from_json,
+    profile_to_csv,
+    profile_to_json,
+)
 from kinksolve.qscan import ScanReport, ScanSample
 from kinksolve.solver import SolveConfig, initial_guess, solve
 
@@ -34,7 +41,7 @@ def test_solve_default_writes_csv_and_manifest(workdir, ledger_file):
     lines = (workdir / "sol.csv").read_text().splitlines()
     assert lines[0] == "x,phi"
     assert len(lines) == 802  # header + 801 nodes
-    p = profile_from_csv(workdir / "sol.csv", tail_right=1.0, tail_left=-1.0)
+    p = profile_from_csv(workdir / "sol.csv", tau=1.0)
     assert abs(p.values[-1] - 1.0) <= 1e-6
 
     manifest = json.loads((workdir / "sol.csv.manifest.json").read_text())
@@ -104,6 +111,45 @@ def test_solve_from_file_restart(workdir, ledger_file):
     assert report["iterations"] <= 2
 
 
+def test_solve_restarts_from_its_own_json_in_one_iteration(workdir, ledger_file):
+    # the restart's first residual meets tol, so the start is the solution
+    common = ["--ledger", str(ledger_file), "--format", "json"]
+    assert main(["solve", *common, "--out", "sol.json"]) == 0
+    assert main(["solve", *common, "--init", "file:sol.json", "--out", "again.json"]) == 0
+    report = json.loads((workdir / "again.json.report.json").read_text())
+    assert report["converged"] is True and report["iterations"] == 1
+    assert (workdir / "again.json").read_bytes() == (workdir / "sol.json").read_bytes()
+
+
+def test_solve_restarts_from_a_json_with_an_even_part_as_from_its_odd_part(
+        workdir, ledger_file):
+    # even.json adds 0.3 exp(-x^2) to the erf start; odd.json holds the odd
+    # part the loader keeps, and both restarts write the same bytes
+    x = np.arange(-400, 401) * 0.05
+    d = {"half_width": 20.0, "spacing": 0.05, "tail_right": 1.0, "tail_left": -1.0,
+         "values": (erf(x) + 0.3 * np.exp(-x * x)).tolist()}
+    (workdir / "even.json").write_text(json.dumps(d))
+    odd = profile_from_json(workdir / "even.json")
+    assert 0.0 < np.max(np.abs(odd.u - erf(x[401:]))) <= 1e-15
+    profile_to_json(odd, workdir / "odd.json")
+    for name in ("even", "odd"):
+        assert main(["solve", "--ledger", str(ledger_file), "--format", "json",
+                     "--init", f"file:{name}.json", "--out", f"from_{name}.json"]) == 0
+    for suffix in ("", ".report.json"):
+        assert ((workdir / f"from_even.json{suffix}").read_bytes()
+                == (workdir / f"from_odd.json{suffix}").read_bytes())
+
+
+def test_solve_restart_json_with_tails_not_opposite_exits_1(workdir, capsys):
+    d = {"half_width": 5.0, "spacing": 0.05, "tail_right": 1.0, "tail_left": 1.0,
+         "values": np.tanh(np.arange(-100, 101) * 0.05).tolist()}
+    (workdir / "bad.json").write_text(json.dumps(d))
+    assert main(["solve", "--L", "5", "--init", "file:bad.json", "--out", "sol.csv"]) == 1
+    assert capsys.readouterr().err == ("error: profile tails must be opposite, "
+                                       "got tail_left=1.0 and tail_right=1.0\n")
+    assert not (workdir / "sol.csv").exists()
+
+
 def test_solve_restarts_from_its_own_csv_on_a_rounded_grid(workdir):
     # the CSV's last node is 100 * 0.07 = 7.000000000000001, not 7
     assert main(["solve", "--L", "7", "--h", "0.07", "--out", "s7.csv"]) == 0
@@ -170,6 +216,9 @@ def _restart_rows(x):
     (np.linspace(-5.0, 5.0, 21) + 0.01 * (np.arange(21) == 7),
      "nodes are not uniformly spaced"),
     (np.linspace(-4.5, 5.5, 21), "grid is not symmetric about 0"),
+    # NaN fails every comparison, so the checks pass only nodes within tolerance
+    (np.where(np.arange(21) == 7, np.nan, np.linspace(-5.0, 5.0, 21)),
+     "nodes are not uniformly spaced"),
 ])
 def test_solve_restart_csv_off_grid_exits_1(workdir, capsys, nodes, message):
     (workdir / "bad.csv").write_text(_restart_rows(nodes))
@@ -303,8 +352,7 @@ def test_verify_reports_nonmember_draw(workdir, capsys, monkeypatch):
     def with_nonmember(n, grid, ledger, seed=42):
         members = draw(n, grid, ledger, seed=seed)
         big = 2.0 * ledger.c0
-        members[0] = Profile(grid=grid, values=big * np.sign(grid.x),
-                             tail_right=big, tail_left=-big)
+        members[0] = Profile(grid=grid, u=np.full(grid.center_index, big), tau=big)
         return members
 
     monkeypatch.setattr(cli, "random_cone_members", with_nonmember)

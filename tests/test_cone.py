@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from kinksolve.cone import (
-    ODD_TOL,
     ConstantsLedger,
     LedgerInvariantError,
     _holder_ratio,
@@ -21,7 +19,7 @@ from kinksolve.cone import (
     random_cone_members,
     validate_ledger,
 )
-from kinksolve.grid import GridSpec, Profile, odd_defect, sample
+from kinksolve.grid import GridSpec, Profile, sample
 from kinksolve.kernels import KernelFamily, kq_abs_mass, kq_derivative_abs_mass
 from kinksolve.operators import apply_pq, psi, t0_psi_analytic
 from kinksolve.solver import initial_guess
@@ -154,15 +152,14 @@ def test_ledger_json_round_trip(ledger, tmp_path):
 
 
 def test_barrier_profile_is_member(default_grid, ledger):
-    p = sample(lambda x: ledger.c2 * psi(x), default_grid,
-               ledger.c2 * 0.5, -ledger.c2 * 0.5)
+    p = sample(lambda x: ledger.c2 * psi(x), default_grid, ledger.c2 * 0.5)
     report = check_cone(p, ledger)
     assert report.member
     assert report.psi_margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_erf_is_member(default_grid, ledger):
-    report = check_cone(sample(lambda x: erf(x), default_grid, 1.0, -1.0), ledger)
+    report = check_cone(sample(lambda x: erf(x), default_grid, 1.0), ledger)
     assert report.member
     assert report.holder_ratio < ledger.c1
     assert report.sup_value == 1.0
@@ -170,35 +167,31 @@ def test_erf_is_member(default_grid, ledger):
 
 def test_oversized_constant_is_not_member(default_grid, ledger):
     big = 2.0 * ledger.c0
-    p = Profile(grid=default_grid, values=np.full(default_grid.n_points, big),
-                tail_right=big, tail_left=big)
+    p = Profile(grid=default_grid, u=np.full(default_grid.center_index, big), tau=big)
     report = check_cone(p, ledger)
     assert not report.member
     assert not report.is_bounded
-    assert not report.is_odd
 
 
 def test_preservation_of_erf_at_q0(default_grid, ledger):
-    p = sample(lambda x: erf(x), default_grid, 1.0, -1.0)
+    p = sample(lambda x: erf(x), default_grid, 1.0)
     assert check_preservation(p, KernelFamily(0.0), ledger).member
 
 
 def test_preservation_of_barrier_at_half_q0(default_grid, ledger):
-    p = sample(lambda x: ledger.c2 * psi(x), default_grid,
-               ledger.c2 * 0.5, -ledger.c2 * 0.5)
+    p = sample(lambda x: ledger.c2 * psi(x), default_grid, ledger.c2 * 0.5)
     assert check_preservation(p, KernelFamily(ledger.q0 / 2.0), ledger).member
 
 
 def test_preservation_rejects_nonmember_input(default_grid, ledger):
     big = 2.0 * ledger.c0
-    p = Profile(grid=default_grid, values=np.full(default_grid.n_points, big),
-                tail_right=big, tail_left=big)
+    p = Profile(grid=default_grid, u=np.full(default_grid.center_index, big), tau=big)
     with pytest.raises(ValueError):
         check_preservation(p, KernelFamily(0.0), ledger)
 
 
 def test_preservation_rejects_excessive_q(default_grid, ledger):
-    p = sample(lambda x: erf(x), default_grid, 1.0, -1.0)
+    p = sample(lambda x: erf(x), default_grid, 1.0)
     with pytest.raises(ValueError):
         check_preservation(p, KernelFamily(2.0 * ledger.q0), ledger)
 
@@ -213,17 +206,6 @@ def test_random_members_preserved_across_q(default_grid, ledger):
     for q in [0.0, ledger.q0 / 2.0, ledger.q0]:
         fam = KernelFamily(q)
         assert all(check_preservation(m, fam, ledger).member for m in members)
-
-
-def test_preservation_reports_on_member_odd_within_tolerance(default_grid, ledger):
-    # check_cone admits an oddness defect up to ODD_TOL; the map then sees
-    # the member's odd projection
-    member = random_cone_members(1, default_grid, ledger, seed=3)[0]
-    values = member.values.copy()
-    values[default_grid.center_index + 5] += 1e-14
-    p = replace(member, values=values)
-    assert 0.0 < odd_defect(p) <= ODD_TOL
-    assert check_preservation(p, KernelFamily(0.0), ledger).member
 
 
 def test_sup_bound_chain(default_grid, ledger):
@@ -282,6 +264,8 @@ def _assert_exact(ratio, v, h):
 @pytest.mark.parametrize("seed, kind", enumerate(["random", "cusp", "walk", "tanh"]))
 @pytest.mark.parametrize("h", [0.01, 0.05, 0.37])
 def test_holder_ratio_is_exact_over_all_pairs(ledger, seed, kind, h):
+    # arrays that are not odd go to _holder_ratio directly, and their
+    # positive halves to check_cone as profiles
     rng = np.random.default_rng([seed, int(100 * h)])
     for _ in range(10):
         m = int(rng.integers(1, 150))
@@ -291,9 +275,10 @@ def test_holder_ratio_is_exact_over_all_pairs(ledger, seed, kind, h):
              "cusp": lambda: np.cbrt(x - x[rng.integers(x.size)]),
              "walk": lambda: np.cumsum(rng.normal(size=x.size)),
              "tanh": lambda: np.tanh(rng.uniform(0.1, 5.0) * x)}[kind]()
-        p = Profile(grid=grid, values=v, tail_right=v[-1], tail_left=v[0])
-        _assert_exact(check_cone(p, ledger).holder_ratio, v, h)
+        _assert_exact(_holder_ratio(v, h), v, h)
         _assert_exact(_holder_ratio(v[1:], h), v[1:], h)  # an even node count
+        p = Profile(grid=grid, u=v[m + 1:], tau=v[-1])
+        _assert_exact(check_cone(p, ledger).holder_ratio, p.values, h)
 
 
 def test_holder_ratio_of_starts_and_kink_is_exact(default_grid, ledger, kink_q0):
@@ -304,8 +289,7 @@ def test_holder_ratio_of_starts_and_kink_is_exact(default_grid, ledger, kink_q0)
 
 
 def test_holder_ratio_of_flat_and_tiny_grids(default_grid, ledger):
-    flat = Profile(grid=default_grid, values=np.zeros(default_grid.n_points),
-                   tail_right=0.0, tail_left=0.0)
+    flat = Profile(grid=default_grid, u=np.zeros(default_grid.center_index), tau=0.0)
     assert check_cone(flat, ledger).holder_ratio == 0.0
     two = np.array([0.25, -0.5])
     _assert_exact(_holder_ratio(two, 0.2), two, 0.2)
@@ -322,11 +306,10 @@ def test_sign_start_ratio_peaks_at_far_pair(default_grid, ledger):
 def _far_pair(grid, top):
     # odd: 0.999 |x|^(1/3) up to |x| = 1, linear up to P at |x| = 1.2, then
     # P; only the far pair (-1.2, 1.2) can break the bound: 2P / 2.4^(1/3)
-    x = grid.x
-    a = np.abs(x)
-    mag = np.where(a <= 1.0, 0.999 * np.cbrt(a),
-                   np.minimum(0.999 + (top - 0.999) * (a - 1.0) / 0.2, top))
-    return Profile(grid=grid, values=np.sign(x) * mag, tail_right=top, tail_left=-top)
+    x = grid.x_half
+    mag = np.where(x <= 1.0, 0.999 * np.cbrt(x),
+                   np.minimum(0.999 + (top - 0.999) * (x - 1.0) / 0.2, top))
+    return Profile(grid=grid, u=mag, tau=top)
 
 
 def test_far_pair_modulus_violation_is_not_member(default_grid, ledger):
@@ -336,7 +319,7 @@ def test_far_pair_modulus_violation_is_not_member(default_grid, ledger):
     assert report.holder_ratio == pytest.approx(1.59090, abs=1e-5)
     assert ledger.c1 == pytest.approx(1.58914, abs=1e-5)
     assert not report.is_holder and not report.member
-    assert report.is_bounded and report.is_odd and report.is_above_psi
+    assert report.is_bounded and report.is_above_psi
 
 
 @given(st.lists(st.floats(-10.0, 10.0), max_size=300), st.booleans(),
@@ -363,25 +346,23 @@ def test_floored_holder_ratio_is_max_of_floor_and_ratio(values, walk, h, fractio
 
 def _single_condition_failures(grid, ledger):
     member = random_cone_members(1, grid, ledger, seed=3)[0]
-    c = grid.center_index
-    big = 2.0 * ledger.c0
-    oversized = Profile(grid=grid, values=np.full(grid.n_points, big),
-                        tail_right=big, tail_left=-big)
-    skew = member.values.copy()
-    skew[c + 5] += 1e-9
-    sag = member.values.copy()
-    sag[[c - 5, c + 5]] = 0.0
-    return {"is_bounded": oversized, "is_odd": replace(member, values=skew),
-            "is_above_psi": replace(member, values=sag),
+    # 0.999 x^(1/3), whose ratio is 2^(2/3) 0.999 < c1 across the origin,
+    # capped just above c0
+    top = 1.01 * ledger.c0
+    oversized = Profile(grid=grid, u=np.minimum(0.999 * np.cbrt(grid.x_half), top),
+                        tau=top)
+    sag = member.u.copy()
+    sag[4] = 0.0
+    return {"is_bounded": oversized,
+            "is_above_psi": Profile(grid=grid, u=sag, tau=member.tau),
             "is_holder": _far_pair(grid, 1.0650)}
 
 
 def test_single_condition_failures_fail_only_their_condition(default_grid, ledger):
-    conditions = {"is_bounded", "is_holder", "is_odd", "is_above_psi"}
+    conditions = {"is_bounded", "is_holder", "is_above_psi"}
     for failed, p in _single_condition_failures(default_grid, ledger).items():
         report = check_cone(p, ledger)
-        # the oversized constant is even as well as unbounded
-        held = conditions - {failed} - ({"is_odd"} if failed == "is_bounded" else set())
+        held = conditions - {failed}
         assert not getattr(report, failed)
         assert all(getattr(report, c) for c in held), (failed, report)
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,16 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from kinksolve.grid import (
-    Profile,
-    make_grid,
-    odd_defect,
-    odd_half,
-    odd_profile,
-    sample,
-    sup_distance,
-    sup_norm,
-)
+from kinksolve.grid import Profile, make_grid, sample, sup_distance, sup_norm
 from kinksolve.kernels import K0_WEIGHTS, K1_WEIGHTS, KernelFamily, eval_kernel
 from kinksolve.operators import (
     OperatorConfig,
@@ -49,19 +39,18 @@ def odd_bandlimited(grid, seed, n_modes=3, amp=0.1, envelope_scale=4.0):
         v += rng.uniform(-amp, amp) * np.sin(rng.uniform(0.2, 2.0) * x)
     v *= np.exp(-((x / envelope_scale) ** 2))
     v = 0.5 * (v - v[::-1])
-    return Profile(grid=grid, values=v, tail_right=0.0, tail_left=0.0)
+    return Profile(grid=grid, u=v[grid.center_index + 1:], tau=0.0)
 
 
 def apply_k1(p):
-    """The zero-mass curvature kernel K1 on an odd profile, by quadrature:
-    constants map to zero, so the tails do."""
-    u, tau = odd_half(p)
-    return odd_profile(p.grid, build_operator(p.grid, K1_WEIGHTS)(u, tau), 0.0)
+    """The zero-mass curvature kernel K1 on a profile, by quadrature:
+    constants map to zero, so the tail does."""
+    return Profile(grid=p.grid, u=build_operator(p.grid, K1_WEIGHTS)(p.u, p.tau), tau=0.0)
 
 
 def odd_ramp(grid):
     """Odd clipped ramp with tails +-1: equal to sign(x) for |x| >= 2."""
-    return sample(lambda x: np.clip(x / 2.0, -1.0, 1.0), grid, 1.0, -1.0)
+    return sample(lambda x: np.clip(x / 2.0, -1.0, 1.0), grid, 1.0)
 
 
 def test_operator_config_validation():
@@ -74,30 +63,30 @@ def test_t0_fixes_constants(default_grid):
     far = np.abs(default_grid.x) >= FAR_X
     out = apply_tq(ramp, KernelFamily(0.0))
     assert np.max(np.abs(out.values[far] - ramp.values[far])) < 1e-12
-    assert (out.tail_right, out.tail_left) == (1.0, -1.0)
+    assert out.tau == 1.0
 
 
 def test_t0_matches_analytic_ramp_image(default_grid):
-    ramp = sample(psi, default_grid, 0.5, -0.5)
+    ramp = sample(psi, default_grid, 0.5)
     out = apply_tq(ramp, KernelFamily(0.0))
     assert np.max(np.abs(out.values - t0_psi_analytic(default_grid.x))) <= 1e-8
 
 
 def test_t0_preserves_oddness(default_grid):
     p = odd_bandlimited(default_grid, seed=3)
-    out = apply_tq(p, KernelFamily(0.0))
-    assert odd_defect(out) <= 1e-14
+    out = apply_tq(p, KernelFamily(0.0)).values
+    assert np.array_equal(out, -out[::-1])
 
 
 def test_t1_kills_constants(default_grid):
     far = np.abs(default_grid.x) >= FAR_X
     out = apply_k1(odd_ramp(default_grid))
     assert np.max(np.abs(out.values[far])) < 1e-12
-    assert (out.tail_right, out.tail_left) == (0.0, 0.0)
+    assert out.tau == 0.0
 
 
 def test_t1_of_odd_vanishes_at_origin(default_grid):
-    ramp = sample(psi, default_grid, 0.5, -0.5)
+    ramp = sample(psi, default_grid, 0.5)
     out = apply_k1(ramp)
     assert out.values[default_grid.center_index] == 0.0
 
@@ -118,7 +107,7 @@ def test_tq_at_q0_equals_t0(default_grid):
         default_grid, K0_WEIGHTS)
     p = odd_bandlimited(default_grid, seed=9)
     image = apply_tq(p, KernelFamily(0.0)).values[default_grid.center_index + 1:]
-    assert np.array_equal(image, build_operator(default_grid, K0_WEIGHTS)(*odd_half(p)))
+    assert np.array_equal(image, build_operator(default_grid, K0_WEIGHTS)(p.u, p.tau))
 
 
 def test_tq_unit_mass_for_all_q(default_grid):
@@ -130,7 +119,7 @@ def test_tq_unit_mass_for_all_q(default_grid):
 
 
 def test_quadrature_vs_spectral_on_erf(default_grid):
-    p = sample(lambda x: erf(x), default_grid, 1.0, -1.0)
+    p = sample(lambda x: erf(x), default_grid, 1.0)
     fam = KernelFamily(0.3)
     a = apply_tq(p, fam, OperatorConfig("quadrature"))
     b = apply_tq(p, fam, OperatorConfig("spectral"))
@@ -141,17 +130,16 @@ def test_t1_quadrature_vs_spectral(default_grid):
     # the curvature kernel alone, on half-line images
     grid = default_grid
     profiles = [
-        sample(lambda x: erf(x), grid, 1.0, -1.0),
-        sample(np.tanh, grid, 1.0, -1.0),
-        sample(psi, grid, 0.5, -0.5),
-        sample(lambda x: np.tanh(x) + 0.1 * x * np.exp(-x * x), grid, 1.0, -1.0),
+        sample(lambda x: erf(x), grid, 1.0),
+        sample(np.tanh, grid, 1.0),
+        sample(psi, grid, 0.5),
+        sample(lambda x: np.tanh(x) + 0.1 * x * np.exp(-x * x), grid, 1.0),
         odd_ramp(grid),
     ]
     quadrature, spectral = (build_operator(grid, K1_WEIGHTS, OperatorConfig(m))
                             for m in ("quadrature", "spectral"))
     for p in profiles:
-        u, tau = odd_half(p)
-        assert np.max(np.abs(quadrature(u, tau) - spectral(u, tau))) <= 1e-8
+        assert np.max(np.abs(quadrature(p.u, p.tau) - spectral(p.u, p.tau))) <= 1e-8
 
 
 def test_operator_memo_is_keyed_on_weights(default_grid):
@@ -163,9 +151,9 @@ def test_operator_memo_is_keyed_on_weights(default_grid):
 def test_quadrature_vs_spectral_suite(default_grid, q):
     fam = KernelFamily(q)
     profiles = [
-        sample(lambda x: erf(x), default_grid, 1.0, -1.0),
-        sample(np.tanh, default_grid, 1.0, -1.0),
-        sample(psi, default_grid, 0.5, -0.5),
+        sample(lambda x: erf(x), default_grid, 1.0),
+        sample(np.tanh, default_grid, 1.0),
+        sample(psi, default_grid, 0.5),
         odd_bandlimited(default_grid, seed=17),
         odd_bandlimited(default_grid, seed=23),
     ]
@@ -182,10 +170,8 @@ def test_tq_linearity(default_grid):
         p = odd_bandlimited(default_grid, seed=int(rng.integers(1000)))
         r = odd_bandlimited(default_grid, seed=int(rng.integers(1000)))
         alpha, beta = rng.uniform(-2, 2, size=2)
-        combo = Profile(grid=default_grid,
-                        values=alpha * p.values + beta * r.values,
-                        tail_right=alpha * p.tail_right + beta * r.tail_right,
-                        tail_left=alpha * p.tail_left + beta * r.tail_left)
+        combo = Profile(grid=default_grid, u=alpha * p.u + beta * r.u,
+                        tau=alpha * p.tau + beta * r.tau)
         lhs = apply_tq(combo, fam)
         rhs = alpha * apply_tq(p, fam).values + beta * apply_tq(r, fam).values
         assert np.max(np.abs(lhs.values - rhs)) <= 1e-12
@@ -197,11 +183,8 @@ def test_t0_monotone_comparison_on_positive_half(default_grid):
     t0 = KernelFamily(0.0)
     for seed in range(5):
         r = odd_bandlimited(default_grid, seed=100 + seed)
-        bump_pos = np.abs(odd_bandlimited(default_grid, seed=200 + seed).values[c + 1:])
-        values = r.values.copy()
-        values[c + 1:] += bump_pos
-        values[:c] -= bump_pos[::-1]
-        p = Profile(grid=default_grid, values=values, tail_right=0.0, tail_left=0.0)
+        bump_pos = np.abs(odd_bandlimited(default_grid, seed=200 + seed).u)
+        p = Profile(grid=default_grid, u=r.u + bump_pos, tau=0.0)
         assert np.all(p.values[c + 1:] >= r.values[c + 1:])
         image_diff = apply_tq(p, t0).values - apply_tq(r, t0).values
         assert np.min(image_diff[c + 1:]) >= -1e-12
@@ -246,35 +229,34 @@ def test_pq_fixes_unit_constant(default_grid):
     for q in [0.0, 0.6]:
         out = apply_pq(ramp, KernelFamily(q))
         assert np.max(np.abs(out.values[far] - ramp.values[far])) < 1e-12
-        assert (out.tail_right, out.tail_left) == (ramp.tail_right, ramp.tail_left)
+        assert out.tau == ramp.tau
 
 
 def test_pq_fixes_zero(default_grid):
-    zero = Profile(grid=default_grid, values=np.zeros(default_grid.n_points),
-                   tail_right=0.0, tail_left=0.0)
+    zero = Profile(grid=default_grid, u=np.zeros(default_grid.center_index), tau=0.0)
     out = apply_pq(zero, KernelFamily(0.3))
     assert sup_norm(out) == 0.0
 
 
 def test_pq_preserves_oddness_exactly(default_grid):
-    p = sample(lambda x: erf(x), default_grid, 1.0, -1.0)
+    p = sample(lambda x: erf(x), default_grid, 1.0)
     for method in ("quadrature", "spectral"):
-        out = apply_pq(p, KernelFamily(0.4), OperatorConfig(method))
-        assert odd_defect(out) <= 1e-13
-        assert out.values[default_grid.center_index] == 0.0
+        out = apply_pq(p, KernelFamily(0.4), OperatorConfig(method)).values
+        assert np.array_equal(out, -out[::-1])
+        assert out[default_grid.center_index] == 0.0
 
 
 @pytest.mark.parametrize("method", ["quadrature", "spectral"])
 def test_half_line_operator_is_positive_half_of_tq(default_grid, method):
     c = default_grid.center_index
-    p = sample(lambda x: np.cbrt(np.tanh(x)), default_grid, 1.0, -1.0)
+    p = sample(lambda x: np.cbrt(np.tanh(x)), default_grid, 1.0)
     for q in (0.0, 0.5):
         cfg = OperatorConfig(method)
         op = build_operator(default_grid, KernelFamily(q).weights, cfg)
-        half = op(p.values[c + 1:], p.tail_right)
+        half = op(p.values[c + 1:], p.tau)
         assert np.array_equal(half, apply_tq(p, KernelFamily(q), cfg).values[c + 1:])
     if method == "quadrature":
-        half = build_operator(default_grid, K1_WEIGHTS)(p.values[c + 1:], p.tail_right)
+        half = build_operator(default_grid, K1_WEIGHTS)(p.values[c + 1:], p.tau)
         assert np.array_equal(half, apply_k1(p).values[c + 1:])
 
 
@@ -282,7 +264,7 @@ def test_half_line_operator_is_positive_half_of_tq(default_grid, method):
 def test_memoised_operator_images_match_fresh_build(default_grid, method):
     # build_operator keeps recent operators; the uncached build is the oracle
     p = sample(lambda x: np.cbrt(np.tanh(x)) + 0.1 * x * np.exp(-x * x), default_grid,
-               1.0, -1.0)
+               1.0)
     c = default_grid.center_index
     cfg = OperatorConfig(method)
     for q in (0.0, 0.2):
@@ -292,7 +274,7 @@ def test_memoised_operator_images_match_fresh_build(default_grid, method):
         fresh = build_operator.__wrapped__(default_grid, family.weights, cfg)
         for _ in range(2):
             assert np.array_equal(apply_tq(p, family, cfg).values[c + 1:],
-                                  fresh(*odd_half(p)))
+                                  fresh(p.u, p.tau))
 
 
 def _is_smooth(n):
@@ -334,28 +316,10 @@ def test_quadrature_spectrum_matches_direct_convolution(half_width, spacing, wei
     assert np.max(np.abs(op(u, tau) - odd)) <= 1e-13
 
 
-@pytest.mark.parametrize("apply", [
-    lambda p: apply_tq(p, KernelFamily(0.0)), apply_k1,
-    lambda p: apply_tq(p, KernelFamily(0.5)),
-    lambda p: apply_pq(p, KernelFamily(0.5)),
-], ids=["t0", "t1", "tq", "pq"])
-def test_profile_operators_reject_profiles_that_are_not_odd(default_grid, apply):
-    p = sample(lambda x: erf(x), default_grid, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        apply(Profile(grid=default_grid, values=p.values, tail_right=1.0, tail_left=1.0))
-    c = default_grid.center_index
-    for node, value in ((c + 7, p.values[c + 7] + 1e-14), (c, 1e-300)):
-        values = p.values.copy()
-        values[node] = value
-        with pytest.raises(ValueError):
-            apply(replace(p, values=values))
-
-
 def test_pq_tail_mapping(default_grid):
-    p = sample(lambda x: 0.5 * erf(x), default_grid, 0.5, -0.5)
+    p = sample(lambda x: 0.5 * erf(x), default_grid, 0.5)
     out = apply_pq(p, KernelFamily(0.0))
-    assert out.tail_right == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15)
-    assert out.tail_left == pytest.approx(-(0.5 ** (1.0 / 3.0)), rel=1e-15)
+    assert out.tau == pytest.approx(0.5 ** (1.0 / 3.0), rel=1e-15)
 
 
 def test_curvature_kernel_derivative_mass():

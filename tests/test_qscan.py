@@ -96,7 +96,7 @@ def test_bisection_stops_at_adjacent_floats(monkeypatch, default_grid, ledger):
         calls.append(cfg.q)
         amplitude = 1.0 if cfg.q < 2.6765 else 0.0
         return SimpleNamespace(converged=True, final_residual=0.0,
-                               solution=SimpleNamespace(values=np.array([amplitude])))
+                               solution=SimpleNamespace(u=np.array([amplitude])))
 
     monkeypatch.setattr(qscan, "solve", fake)
     cfg = ScanConfig(2.25, 3.0, coarse_steps=1, bisect_tol=1e-300)

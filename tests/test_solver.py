@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +12,9 @@ from kinksolve.cone import c5_bound, check_cone
 from kinksolve.grid import (
     Profile,
     make_grid,
-    odd_defect,
-    odd_half,
-    odd_profile,
     profile_to_csv,
     profile_to_json,
-    project_odd,
+    profile_to_json_dict,
     sup_distance,
 )
 from kinksolve.kernels import KernelFamily
@@ -58,8 +57,8 @@ def test_initial_guesses_are_cone_members(default_grid, ledger):
     for kind in ("erf", "sign"):
         p = initial_guess(kind, default_grid, ledger)
         assert check_cone(p, ledger).member, kind
-        assert odd_defect(p) == 0.0
-        assert (p.tail_right, p.tail_left) == (1.0, -1.0)
+        assert np.array_equal(p.values, -p.values[::-1])
+        assert p.tau == 1.0
 
 
 def test_initial_guess_from_file(default_grid, ledger, tmp_path):
@@ -72,7 +71,7 @@ def test_initial_guess_from_file(default_grid, ledger, tmp_path):
     profile_to_json(p, json_path)
     r = initial_guess("from_file", default_grid, ledger, path=str(json_path))
     assert np.all(r.values == p.values)
-    assert (r.tail_right, r.tail_left) == (1.0, -1.0)
+    assert r.tau == 1.0
 
 
 def test_initial_guess_from_file_grid_mismatch(ledger, tmp_path):
@@ -92,14 +91,27 @@ def test_solve_rejects_initial_on_other_grid(ledger):
 
 
 def test_initial_guess_warns_outside_cone(default_grid, ledger, tmp_path):
-    bad = Profile(grid=default_grid,
-                  values=np.full(default_grid.n_points, 2.0 * ledger.c0),
-                  tail_right=2.0 * ledger.c0, tail_left=-2.0 * ledger.c0)
+    big = 2.0 * ledger.c0
+    bad = Profile(grid=default_grid, u=np.full(default_grid.center_index, big), tau=big)
     path = tmp_path / "bad.json"
     profile_to_json(bad, path)
     # the warning carries check_cone's full report, not only the verdict
     with pytest.warns(UserWarning, match=r"is_bounded=False, sup_value="):
         initial_guess("from_file", default_grid, ledger, path=str(path))
+
+
+def test_initial_guess_judges_the_odd_part_of_a_file(default_grid, ledger, tmp_path):
+    # an even part of 2 c0 alone would break the sup bound; the loader keeps
+    # the odd part, erf up to rounding, which is a cone member
+    x = default_grid.x
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps({"half_width": 20.0, "spacing": 0.05, "tail_right": 1.0,
+                                "tail_left": -1.0,
+                                "values": (erf(x) + 2.0 * ledger.c0).tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = initial_guess("from_file", default_grid, ledger, path=str(path))
+    assert np.max(np.abs(p.u - erf(default_grid.x_half))) <= 1e-15
 
 
 def _one_step(p, cfg, ledger):
@@ -109,21 +121,11 @@ def _one_step(p, cfg, ledger):
 
 
 def test_one_step_fixes_exact_fixed_point(default_grid, ledger):
-    zero = Profile(grid=default_grid, values=np.zeros(default_grid.n_points),
-                   tail_right=0.0, tail_left=0.0)
+    zero = Profile(grid=default_grid, u=np.zeros(default_grid.center_index), tau=0.0)
     rep = _one_step(zero, SolveConfig(q=0.3), ledger)
     # the residual is the distance from zero to its image
     assert rep.final_residual <= 1e-15
     assert sup_distance(rep.solution, zero) <= 1e-15
-
-
-def test_one_step_projection_kills_even_drift(default_grid, ledger):
-    rng = np.random.default_rng(3)
-    even = rng.normal(scale=0.01, size=default_grid.n_points)
-    even = 0.5 * (even + even[::-1])
-    p = Profile(grid=default_grid, values=even, tail_right=0.0, tail_left=0.0)
-    out = _one_step(p, SolveConfig(q=0.0, damping=1.0), ledger).solution
-    assert odd_defect(out) == 0.0
 
 
 def test_one_step_from_erf_reduces_residual(default_grid, ledger):
@@ -153,7 +155,7 @@ def test_solve_q0_converges(kink_q0, default_grid):
     assert len(rep.residual_trace) == rep.iterations
     assert rep.stop_reason == "converged"
     assert rep.events == []
-    assert odd_defect(rep.solution) <= 1e-13
+    assert np.array_equal(rep.solution.values, -rep.solution.values[::-1])
     assert abs(rep.solution.values[-1] - 1.0) <= 1e-6
     assert rep.boundary_defect <= 1e-6
     assert rep.cone_member_final
@@ -257,7 +259,7 @@ def _decay_ratio_by_cutoff_loop(p):
     deltas, cut = [], 2.0
     while cut <= p.grid.half_width / 2.0:
         beyond = float(np.max(np.abs(1.0 - p.values[p.grid.x > cut])))
-        deltas.append(max(beyond, abs(1.0 - p.tail_right)))
+        deltas.append(max(beyond, abs(1.0 - p.tau)))
         cut += 2.0
     live = [d for d in deltas if d > solver_module._DECAY_FLOOR]
     return float(np.exp(np.mean(np.log([b / a for a, b in zip(live[:-1], live[1:])]))))
@@ -273,16 +275,15 @@ def test_decay_ratio_matches_the_cutoff_loop(ledger, half_width, spacing, q):
 
 
 def test_decay_ratio_zero_on_saturated_profile(default_grid):
-    values = np.sign(default_grid.x)
-    values[default_grid.center_index] = 0.0
-    p = Profile(grid=default_grid, values=values, tail_right=1.0, tail_left=-1.0)
+    p = Profile(grid=default_grid, u=np.ones(default_grid.center_index), tau=1.0)
+    assert np.array_equal(p.values, np.sign(default_grid.x))
     assert decay_ratio(p) == 0.0
 
 
 @pytest.mark.parametrize("rate", [0.5, math.sqrt(math.log(3.0))])
 def test_decay_ratio_of_exponential_tail(default_grid, rate):
     # 1 - p = e^(-rate x) beyond every cutoff, so each ratio is e^(-2 rate)
-    p = odd_profile(default_grid, 1.0 - np.exp(-rate * default_grid.x_half), 1.0)
+    p = Profile(grid=default_grid, u=1.0 - np.exp(-rate * default_grid.x_half), tau=1.0)
     assert decay_ratio(p) == pytest.approx(math.exp(-2.0 * rate), rel=1e-12)
 
 
@@ -291,7 +292,7 @@ def test_decay_ratio_with_one_delta_above_the_floor(default_grid):
     xp = default_grid.x_half
     u = 1.0 - np.exp(-9.0 * xp)
     first = float(np.max(np.abs(1.0 - u[xp > 2.0])))
-    p = odd_profile(default_grid, u, 1.0)
+    p = Profile(grid=default_grid, u=u, tau=1.0)
     assert decay_ratio(p) == solver_module._DECAY_FLOOR / first
 
 
@@ -308,16 +309,16 @@ def test_decay_estimate_does_not_depend_on_the_start_tail(ledger, half_width, ta
     # at L = 80 the far deltas measured from 1 would be that gap, not the decay
     grid = make_grid(half_width, 0.05)
     erf_start = solve(SolveConfig(q=0.0), grid, ledger).decay_estimate
-    start = odd_profile(grid, tail * erf(grid.x_half), tail)
+    start = Profile(grid=grid, u=tail * erf(grid.x_half), tau=tail)
     rep = solve(SolveConfig(q=0.0), grid, ledger, initial=start)
     assert rep.converged
-    assert rep.solution.tail_right != 1.0
+    assert rep.solution.tau != 1.0
     assert rep.decay_estimate == pytest.approx(erf_start, rel=1e-6)
 
 
 @pytest.mark.parametrize("tail", [0.0, -1.0])
 def test_decay_estimate_none_off_the_kink_branch(default_grid, ledger, tail):
-    start = odd_profile(default_grid, tail * erf(default_grid.x_half), tail)
+    start = Profile(grid=default_grid, u=tail * erf(default_grid.x_half), tau=tail)
     rep = solve(SolveConfig(q=0.0), default_grid, ledger, initial=start)
     assert rep.converged
     assert rep.decay_estimate is None
@@ -359,8 +360,8 @@ def test_damping_fallback_on_oscillation(default_grid, ledger):
 @pytest.mark.parametrize("amplitude", [1e308, 1e307])
 def test_solve_raises_on_non_finite_iterate(default_grid, ledger, method, amplitude,
                                            monkeypatch):
-    # 1e308 overflows already in the odd projection of the start, 1e307 in
-    # the first operator application; either way the solve stops there
+    # both overflow in the first operator application, whose residual is
+    # then not finite; the solve stops there
     applications = []
     build = solver_module.build_operator
 
@@ -374,9 +375,8 @@ def test_solve_raises_on_non_finite_iterate(default_grid, ledger, method, amplit
         return counted
 
     monkeypatch.setattr(solver_module, "build_operator", counting_build)
-    values = np.sign(default_grid.x) * amplitude
-    start = Profile(grid=default_grid, values=values,
-                    tail_right=amplitude, tail_left=-amplitude)
+    start = Profile(grid=default_grid, u=np.full(default_grid.center_index, amplitude),
+                    tau=amplitude)
     with np.errstate(all="ignore"), \
             pytest.raises(ValueError, match="profile values must be finite"):
         solve(SolveConfig(q=0.1), default_grid, ledger, OperatorConfig(method),
@@ -385,7 +385,8 @@ def test_solve_raises_on_non_finite_iterate(default_grid, ledger, method, amplit
 
 
 def _full_line_picard(cfg, grid, ledger, cfg_op):
-    """Reference loop: full-line map, odd projection and damping fallback."""
+    """Reference loop: full-line mix with its odd part taken inline, and the
+    damping fallback."""
     family = KernelFamily(cfg.q)
     p = initial_guess("erf", grid, ledger)
     omega, trace, growth_streak = cfg.damping, [], 0
@@ -400,10 +401,10 @@ def _full_line_picard(cfg, grid, ledger, cfg_op):
                 omega, growth_streak = 0.5, 0
         else:
             growth_streak = 0
-        p = project_odd(Profile(
-            grid=grid, values=(1.0 - omega) * p.values + omega * image.values,
-            tail_right=(1.0 - omega) * p.tail_right + omega * image.tail_right,
-            tail_left=(1.0 - omega) * p.tail_left + omega * image.tail_left))
+        v = (1.0 - omega) * p.values + omega * image.values
+        c = grid.center_index
+        p = Profile(grid=grid, u=0.5 * (v[c + 1:] - v[c - 1::-1]),
+                    tau=(1.0 - omega) * p.tau + omega * image.tau)
     return p, len(trace)
 
 
@@ -421,15 +422,18 @@ def test_solve_matches_full_line_picard(default_grid, ledger, method, q_of):
     v = rep.solution.values
     assert np.array_equal(v, -v[::-1])
     assert v[default_grid.center_index] == 0.0
-    assert rep.solution.tail_left == -rep.solution.tail_right
+    tails = profile_to_json_dict(rep.solution)
+    assert tails["tail_left"] == -tails["tail_right"]
 
 
 def _half_line_picard(cfg, grid, ledger, initial):
     """Reference loop on the positive half: the odd extension built by
-    concatenation and zero-padded by rfft, and an out-of-place mix."""
+    concatenation and zero-padded by rfft, and an out-of-place mix, from the
+    odd part of the start's values taken inline."""
     op = build_operator(grid, KernelFamily(cfg.q).weights)
-    n, m = op.n_fft, op.m
-    u, tau = odd_half(project_odd(initial))
+    n, m, c = op.n_fft, op.m, grid.center_index
+    v = initial.values
+    u, tau = 0.5 * (v[c + 1:] - v[c - 1::-1]), initial.tau
     omega, trace, growth_streak = cfg.damping, [], 0
     for _ in range(cfg.max_iter):
         tail = np.full(m, tau)
@@ -449,7 +453,7 @@ def _half_line_picard(cfg, grid, ledger, initial):
             growth_streak = 0
         u = (1.0 - omega) * u + omega * image
         tau = (1.0 - omega) * tau + omega * image_tau
-    return odd_profile(grid, u, tau), trace
+    return Profile(grid=grid, u=u, tau=tau), trace
 
 
 @pytest.mark.parametrize("spec, q, omega", [
@@ -466,7 +470,7 @@ def test_solve_matches_half_line_picard_bitwise(ledger, spec, q, omega):
     rep = solve(cfg, grid, ledger, initial=start)
     assert rep.residual_trace == trace
     assert rep.solution.values.tobytes() == expected.values.tobytes()
-    assert rep.solution.tail_right == expected.tail_right
+    assert rep.solution.tau == expected.tau
 
 
 def test_solve_leaves_its_start_unchanged(default_grid, ledger):

@@ -102,22 +102,43 @@ def test_profile_validates_shape_and_tails():
         Profile(grid=g, u=np.full(400, math.nan), tau=1.0)
 
 
-def test_loaders_keep_the_odd_part(tmp_path):
-    # x^2 + x on every node: both loaders read back x, which reloads bitwise
-    g = make_grid(20.0, 0.05)
-    values = g.x**2 + g.x
-    d = {"half_width": 20.0, "spacing": 0.05, "tail_right": 1.0, "tail_left": -1.0,
-         "values": values.tolist()}
-    c = g.center_index
-    odd = 0.5 * (values[c + 1:] - values[c - 1::-1])
-    path = tmp_path / "even.csv"
+def _full_line_dict(g, values):
+    return {"half_width": g.half_width, "spacing": g.spacing, "tail_right": 1.0,
+            "tail_left": -1.0, "values": values.tolist()}
+
+
+def _full_line_csv(path, g, values):
     rows = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(g.x, values))
     path.write_text("x,phi\n" + rows)
-    for p in (profile_from_json_dict(d), profile_from_csv(path, tau=1.0)):
+    return path
+
+
+def test_project_odd_extracts_odd_part(tmp_path):
+    # the odd projection now lives in the loaders: both read x^2 + x on
+    # every node back as its odd part x
+    g = make_grid(20.0, 0.05)
+    values = g.x**2 + g.x
+    c = g.center_index
+    odd = 0.5 * (values[c + 1:] - values[c - 1::-1])
+    path = _full_line_csv(tmp_path / "even.csv", g, values)
+    for p in (profile_from_json_dict(_full_line_dict(g, values)),
+              profile_from_csv(path, tau=1.0)):
         assert np.allclose(p.u, g.x_half, rtol=0, atol=1e-12)
         assert np.array_equal(p.u, odd) and p.tau == 1.0
-        again = profile_from_json_dict(profile_to_json_dict(p))
-        assert np.array_equal(again.u, p.u) and again.tau == p.tau
+
+
+def test_project_odd_idempotent(tmp_path):
+    # the loaders' odd part of random full-line values reloads bitwise
+    g = make_grid(20.0, 0.05)
+    values = np.random.default_rng(7).normal(size=g.n_points)
+    path = _full_line_csv(tmp_path / "random.csv", g, values)
+    for once in (profile_from_json_dict(_full_line_dict(g, values)),
+                 profile_from_csv(path, tau=1.0)):
+        twice = profile_from_json_dict(profile_to_json_dict(once))
+        assert np.array_equal(twice.u, once.u) and twice.tau == once.tau
+        profile_to_csv(once, tmp_path / "once.csv")
+        twice = profile_from_csv(tmp_path / "once.csv", tau=once.tau)
+        assert np.array_equal(twice.u, once.u) and twice.tau == once.tau
 
 
 def test_json_loader_rejects_tails_that_are_not_opposite():

@@ -8,7 +8,7 @@ Exit codes are a stable scripting contract:
     3  a constants-ledger invariant failed
 
 Every command writes a run manifest next to its primary output, with the
-Python, numpy and scipy versions and the platform; re-running with its
+Python and numpy versions and the platform; re-running with its
 parameters reproduces the outputs bit for bit in that environment.
 """
 
@@ -22,8 +22,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.special import erf
 
 from . import __version__
 from .cone import (
@@ -35,7 +33,7 @@ from .cone import (
     validate_ledger,
 )
 from .grid import make_grid, profile_to_csv, profile_to_json, sample, sup_distance
-from .kernels import KernelFamily
+from .kernels import KernelFamily, erf
 from .operators import OperatorConfig, apply_pq, apply_tq, psi, t0_psi_analytic
 from .qscan import ScanConfig, scan
 from .solver import SolveConfig, initial_guess, solve
@@ -67,7 +65,7 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str],
                     started: float) -> None:
     """Write the manifest of a run with every parsed argument as a parameter."""
     environment = {"python": platform.python_version(), "numpy": np.__version__,
-                   "scipy": scipy.__version__, "platform": platform.platform()}
+                   "platform": platform.platform()}
     manifest = {"command": args.command,
                 "parameters": {k: v for k, v in vars(args).items() if k != "command"},
                 "version": __version__, "wall_time_seconds": time.time() - started,

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erf
 
 from .grid import GridSpec, Profile, json_field, sup_norm
 from .kernels import (
@@ -156,8 +155,7 @@ def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0) -> ConstantsL
     c4 = max(slope_bound / ramp_slope_inf, level_bound / ramp_level_inf)
 
     ell = 2.0 ** (2.0 / 3.0)
-    xp = grid.x_half
-    ramp = psi(xp)
+    ramp = grid.ramp
     if float(np.min(np.cbrt(ramp) / ramp)) < ell - 1e-12:
         raise LedgerInvariantError("ramp cube-root lower bound fails on the grid")
 
@@ -221,7 +219,7 @@ def _cone_report(p: Profile, ledger: ConstantsLedger, floor: float) -> ConeRepor
     g = p.grid
     sup_value = sup_norm(p)
     worst = _holder_ratio(p.values, g.spacing, floor)
-    margin = float(np.min(p.u - ledger.c2 * psi(g.x_half)))
+    margin = float(np.min(p.u - ledger.c2 * g.ramp))
     margin = min(margin, p.tau - ledger.c2 * 0.5)
     return ConeReport(
         is_bounded=sup_value <= ledger.c0 + MEMBERSHIP_SLACK, sup_value=sup_value,
@@ -274,8 +272,8 @@ def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,
     xp = grid.x_half
     members = []
     envelope = np.exp(-((xp / 5.0) ** 2))
-    kink = erf(xp)
-    barrier = ledger.c2 * psi(xp)
+    kink = 2.0 * grid.ramp
+    barrier = ledger.c2 * grid.ramp
     for _ in range(n):
         ripple = np.zeros_like(xp)
         for _ in range(int(rng.integers(1, 4))):

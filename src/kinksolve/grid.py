@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .kernels import erf
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -46,6 +48,13 @@ class GridSpec:
     def x_half(self) -> np.ndarray:
         """The positive nodes, a view of x."""
         return self.x[self.center_index + 1:]
+
+    @cached_property
+    def ramp(self) -> np.ndarray:
+        """The Gaussian ramp erf(x)/2 on the positive nodes, read-only."""
+        ramp = 0.5 * erf(self.x_half)
+        ramp.flags.writeable = False
+        return ramp
 
 
 def make_grid(half_width: float, spacing: float) -> GridSpec:

@@ -38,6 +38,11 @@ K1(r') = -(1 + 1/q^2) K0(r'), so
 
 A supremum of either mass over q in [0, q_max] is therefore its value at
 q_max.
+
+erf and erfc are numpy ports of the Cephes ndtr.c rational approximations:
+x T(x^2)/U(x^2) for |x| <= 1, and erfc = exp(-x^2) P(x)/Q(x) for
+1 <= |x| < 8, exp(-x^2) R(x)/S(x) beyond, with the exact limit once
+x^2 exceeds log(DBL_MAX).
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 _INV_TWO_SQRT_PI = 1.0 / (2.0 * math.sqrt(math.pi))
 
@@ -160,3 +164,65 @@ def kq_abs_mass(family: KernelFamily) -> float:
 def kq_derivative_abs_mass(family: KernelFamily) -> float:
     """integral |Kq'| du, telescoped through values of Kq itself."""
     return 2.0 * abs_mass_above(0.0, family.weights, derivative=True)
+
+
+# -- erf and erfc -------------------------------------------------------------
+#
+# Cephes ndtr.c coefficients, highest degree first; U, Q and S are monic.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1, 1.96520832956077098242e2,
+           5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
+           2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1, 9.60896809063285878198e0,
+           3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _horner(x, coeffs):
+    out = coeffs[0]
+    for c in coeffs[1:]:
+        out = out * x + c
+    return out
+
+
+def _erf_inner(x):
+    """erf(x) for |x| <= 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def _erfc_outer(a):
+    """erfc(a) for a >= 1, exactly 0 where a^2 > log(DBL_MAX)."""
+    z = np.exp(-a * a)
+    y = np.where(a < 8.0, z * _horner(a, _ERFC_P) / _horner(a, _ERFC_Q),
+                 z * _horner(a, _ERFC_R) / _horner(a, _ERFC_S))
+    return np.where(a * a > _MAXLOG, 0.0, y)
+
+
+def erf(x):
+    """Error function; a numpy scalar for a scalar x."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(x)
+        out = np.where(a > 1.0, np.copysign(1.0 - _erfc_outer(a), x), _erf_inner(x))
+    return out[()]
+
+
+def erfc(x):
+    """Complementary error function 1 - erf(x); a numpy scalar for a scalar x."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(x)
+        tail = _erfc_outer(a)
+        out = np.where(a < 1.0, 1.0 - _erf_inner(x), np.where(x < 0.0, 2.0 - tail, tail))
+    return out[()]

@@ -32,13 +32,11 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import erf
-from scipy.special import gamma as _sp_gamma
-from scipy.special import zeta as _sp_zeta
 
 from .grid import GridSpec, Profile
 from .kernels import (
     KernelFamily,
+    erf,
     eval_kernel,
     eval_kernel_derivative,
     fourier_symbol,
@@ -54,10 +52,9 @@ _REF_A = 0.5
 _REF_B = _REF_A / math.sqrt(1.0 + 4.0 * _REF_A * _REF_A)
 
 #: zeta(-4/3), the fractional Euler-Maclaurin coefficient of the cube-root
-#: cusp (computed once via the reflection formula; see _Quadrature).
-_ZETA_M43 = float(2.0 ** (-4.0 / 3.0) * math.pi ** (-7.0 / 3.0)
-                  * math.sin(-2.0 * math.pi / 3.0)
-                  * _sp_gamma(7.0 / 3.0) * _sp_zeta(7.0 / 3.0))
+#: cusp (see _Quadrature), as the reflection formula
+#: 2^(-4/3) pi^(-7/3) sin(-2 pi/3) Gamma(7/3) zeta(7/3) gives it in doubles.
+_ZETA_M43 = float.fromhex("-0x1.482eb2bfe2ac2p-5")
 
 
 @dataclass(frozen=True)

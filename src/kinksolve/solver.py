@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .cone import ConstantsLedger, check_cone, is_cone_member
 from .grid import (
@@ -114,7 +113,7 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
              else profile_from_csv(path, tau=1.0))
         _check_grid(p, grid)
     elif kind == "erf":
-        p = Profile(grid=grid, u=erf(grid.x_half), tau=1.0)
+        p = Profile(grid=grid, u=2.0 * grid.ramp, tau=1.0)
     elif kind == "sign":
         p = Profile(grid=grid, u=np.minimum(grid.x_half / SIGN_RAMP_HALF_WIDTH, 1.0),
                     tau=1.0)

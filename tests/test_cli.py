@@ -1,10 +1,13 @@
 import json
+import os
 import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from scipy.special import erf
 
 from kinksolve.cli import main
@@ -51,7 +54,8 @@ def test_solve_default_writes_csv_and_manifest(workdir, ledger_file):
     assert "sol.csv" in manifest["outputs"][0]
     env = manifest["environment"]
     assert env["python"] == platform.python_version()
-    assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+    assert env["numpy"] == np.__version__
+    assert "scipy" not in env
     assert env["platform"] == platform.platform()
 
     report = json.loads((workdir / "sol.csv.report.json").read_text())
@@ -439,3 +443,25 @@ def test_reproducible_outputs(workdir, ledger_file):
     assert main(["solve", "--q", "0.1", "--out", "b.csv",
                  "--ledger", str(ledger_file)]) == 0
     assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import kinksolve, kinksolve.cli
+for argv in (["constants"], ["verify", "--trials", "5"], ["solve", "--L", "9"],
+             ["scan", "--q-max", "0.27", "--steps", "1"]):
+    code = kinksolve.cli.main(argv)
+    if code:
+        sys.exit(f"{argv}: exit {code}")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "scan.json").is_file()

@@ -19,6 +19,7 @@ from kinksolve.grid import (
     sup_distance,
     sup_norm,
 )
+from kinksolve.kernels import erf as ks_erf
 from kinksolve.operators import psi
 
 
@@ -56,6 +57,16 @@ def test_sample_erf_is_odd():
     assert p.values[g.center_index] == 0.0
     assert np.array_equal(p.values, -p.values[::-1])
     assert np.array_equal(p.values, erf(g.x))
+
+
+def test_grid_ramp_is_cached_read_only_half_erf():
+    g = make_grid(20.0, 0.05)
+    ramp = g.ramp
+    assert np.array_equal(ramp, 0.5 * ks_erf(g.x_half))
+    assert g.ramp is ramp
+    assert not ramp.flags.writeable
+    with pytest.raises(ValueError):
+        ramp[0] = 1.0
 
 
 def test_sample_ramp_stays_below_half():

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf, erfc
 
 import kinksolve
+from kinksolve import kernels
 from kinksolve.kernels import (
     K0_WEIGHTS,
     K1_WEIGHTS,
@@ -315,19 +317,61 @@ def test_package_exports_exactly_what_its_init_imports():
     assert sorted(kinksolve.__all__) == sorted(imported)
 
 
-def test_src_does_not_import_scipy_integrate():
-    # adaptive quadrature is a test oracle only; the package uses closed forms
+def _src_imports():
+    """(path, module names) of every import statement in the package."""
     package = Path(kinksolve.__file__).parent
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield path, [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
-            else:
-                continue
-            assert not any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
-                           for n in names), path
+                yield path, [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+
+
+def test_src_does_not_import_scipy_integrate():
+    # adaptive quadrature is a test oracle only; the package uses closed forms
+    for path, names in _src_imports():
+        assert not any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
+                       for n in names), path
+
+
+def test_src_does_not_import_scipy():
+    # erf and erfc are the package's own; scipy serves the tests as an oracle
+    for path, names in _src_imports():
+        assert not any(n == "scipy" or n.startswith("scipy.") for n in names), path
+
+
+def _erf_test_points():
+    edges = [v for e in (1.0, 8.0) for v in (e, np.nextafter(e, 0.0), np.nextafter(e, 9.0))]
+    return np.concatenate([np.linspace(-30.0, 30.0, 600_001), edges, np.negative(edges)])
+
+
+def test_erf_matches_scipy_within_one_ulp():
+    x = _erf_test_points()
+    got, want = kernels.erf(x), scipy.special.erf(x)
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
+def test_erfc_matches_scipy_within_absolute_rounding():
+    x = _erf_test_points()
+    assert np.max(np.abs(kernels.erfc(x) - scipy.special.erfc(x))) <= 2.3e-16
+
+
+def test_erf_and_erfc_take_their_limits_without_warning():
+    x = np.array([1e200, -1e200, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.erf(x).tolist() == [1.0, -1.0, 1.0, -1.0]
+        assert kernels.erfc(x).tolist() == [0.0, 2.0, 0.0, 2.0]
+        assert kernels.erfc(27.0) == 0.0
+
+
+def test_erf_and_erfc_pass_nan_and_keep_scalars_scalar():
+    for f in (kernels.erf, kernels.erfc):
+        assert np.isnan(f(np.nan))
+        assert np.isnan(f(np.array([0.5, np.nan, 3.0]))).tolist() == [False, True, False]
+        assert isinstance(f(0.5), np.float64)
+        assert f(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_kernel_norms_suprema_frozen():
@@ -385,7 +429,8 @@ def test_weighted_evaluators_match_separate_formulas(q):
         (eval_kernel_derivative(u, fam.weights),
          -0.5 * u * (1.0 + q2 * (1.5 - 0.25 * u * u)) * g),
         (kernel_cumulative(u, K1_WEIGHTS), 0.5 * u * g),
-        (kernel_cumulative(u, fam.weights), 0.5 * erfc(-0.5 * u) + q2 * 0.5 * u * g),
+        (kernel_cumulative(u, fam.weights),
+         0.5 * kernels.erfc(-0.5 * u) + q2 * 0.5 * u * g),
         (fourier_symbol(u, fam.weights), (1.0 + q2 * u * u) * np.exp(-u * u)),
     ]
     for got, want in pairs:
@@ -444,7 +489,8 @@ def test_k1_cumulative_signed_formula():
 
 
 def test_erf_against_maclaurin_series():
-    """The platform error function against the exact-rational series.
+    """The platform's, scipy's and the package's error functions against the
+    exact-rational series.
 
     erf(x) = (2/sqrt(pi)) sum (-1)^n x^(2n+1) / (n! (2n+1)); partial sums are
     accumulated in exact rational arithmetic, so the only rounding is the
@@ -461,5 +507,5 @@ def test_erf_against_maclaurin_series():
             total += (-1) ** n * x_rat ** (2 * n + 1) / (fact * (2 * n + 1))
         series = 2.0 / SQRT_PI * float(total)
         assert math.erf(float(x_rat)) == pytest.approx(series, rel=5e-15)
-        from scipy.special import erf as sp_erf
-        assert float(sp_erf(float(x_rat))) == pytest.approx(series, rel=5e-15)
+        assert float(erf(float(x_rat))) == pytest.approx(series, rel=5e-15)
+        assert float(kernels.erf(float(x_rat))) == pytest.approx(series, rel=5e-15)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
@@ -9,6 +10,7 @@ from scipy.special import erf
 from kinksolve.grid import Profile, make_grid, sample, sup_distance, sup_norm
 from kinksolve.kernels import K0_WEIGHTS, K1_WEIGHTS, KernelFamily, eval_kernel
 from kinksolve.operators import (
+    _ZETA_M43,
     OperatorConfig,
     _Quadrature,
     _smooth_length,
@@ -314,6 +316,15 @@ def test_quadrature_spectrum_matches_direct_convolution(half_width, spacing, wei
     odd = (h * np.convolve(ext, row, "valid") + tau * op.odd_remainder
            + (5.0 * u[0] - 4.0 * u[1] + u[2]) * op.cusp)
     assert np.max(np.abs(op(u, tau) - odd)) <= 1e-13
+
+
+def test_cusp_coefficient_is_the_reflection_formula_for_zeta():
+    # zeta(-4/3) = 2^(-4/3) pi^(-7/3) sin(-2 pi/3) Gamma(7/3) zeta(7/3),
+    # evaluated here as the package evaluated it before it held the constant
+    reflected = float(2.0 ** (-4.0 / 3.0) * math.pi ** (-7.0 / 3.0)
+                      * math.sin(-2.0 * math.pi / 3.0)
+                      * scipy.special.gamma(7.0 / 3.0) * scipy.special.zeta(7.0 / 3.0))
+    assert _ZETA_M43.hex() == reflected.hex()
 
 
 def test_pq_tail_mapping(default_grid):

@@ -17,6 +17,7 @@ from kinksolve.grid import (
     profile_to_json_dict,
     sup_distance,
 )
+from kinksolve import kernels
 from kinksolve.kernels import KernelFamily
 from kinksolve.operators import OperatorConfig, apply_pq, apply_tq, build_operator, psi
 from kinksolve.solver import (
@@ -59,6 +60,11 @@ def test_initial_guesses_are_cone_members(default_grid, ledger):
         assert check_cone(p, ledger).member, kind
         assert np.array_equal(p.values, -p.values[::-1])
         assert p.tau == 1.0
+
+
+def test_erf_initial_guess_is_erf_on_the_positive_nodes(default_grid, ledger):
+    p = initial_guess("erf", default_grid, ledger)
+    assert np.array_equal(p.u, kernels.erf(default_grid.x_half))
 
 
 def test_initial_guess_from_file(default_grid, ledger, tmp_path):

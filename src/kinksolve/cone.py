@@ -185,6 +185,12 @@ def validate_ledger(ledger: ConstantsLedger) -> None:
         raise LedgerInvariantError("q0 must be strictly positive")
 
 
+def _cut(bound: float, w: int, h: float) -> float:
+    """bound (w h)^(1/3), a few ulps low, so that no rounding prunes a pair
+    that beats bound: once the range of v is within it, no lag >= w can."""
+    return bound * (w * h) ** (1.0 / 3.0) * (1.0 - 1e-15)
+
+
 def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:
     """max(floor, max over node pairs i < j of |v_j - v_i| / ((j - i) h)^(1/3)).
 
@@ -198,11 +204,15 @@ def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:
     """
     n, worst, w = len(v), floor, 1
     hi, lo, span = v.copy(), v.copy(), float(np.ptp(v)) if n else 0.0
-    # the cut sits a few ulps low, so no rounding prunes a pair that beats worst
-    while w < n and span > (cut := worst * (w * h) ** (1.0 / 3.0) * (1.0 - 1e-15)):
-        hi[:-w], lo[:-w] = np.maximum(hi[:-w], hi[w:]), np.minimum(lo[:-w], lo[w:])
-        reach = np.maximum(hi - v, v - lo)[:n - w]
-        starts = np.flatnonzero(reach > cut)
+    # one scratch pair serves every block, so the search allocates no
+    # full-length temporaries (at n = 6401 they made the heap shrink and
+    # regrow, and page-fault, within each solve)
+    reach, down = np.empty(n), np.empty(n)
+    while w < n and span > (cut := _cut(worst, w, h)):
+        hi[:-w] = np.maximum(hi[:-w], hi[w:], out=reach[:-w])
+        lo[:-w] = np.minimum(lo[:-w], lo[w:], out=reach[:-w])
+        np.maximum(np.subtract(hi, v, out=reach), np.subtract(v, lo, out=down), out=reach)
+        starts = np.flatnonzero(reach[:-w] > cut)
         lags = np.arange(w, 2 * w)
         scale = (lags * h) ** (1.0 / 3.0)
         rows = max(1, (1 << 14) // w)
@@ -214,11 +224,31 @@ def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:
     return worst
 
 
+def _floored_window(p: Profile, floor: float) -> np.ndarray:
+    """The nodes of p that the modulus search floored at floor > 0 needs.
+
+    The search stops at the first w = 2^k whose cut the range of p.values is
+    within, so it reaches lags below w only.  A pair left of the origin
+    mirrors one right of it, and a pair (-a, b) across it mirrors (-b, a);
+    each twin has the same lag and the same |difference| to the bit.  So
+    every pair the search must see has a twin that starts at most w/2 - 1
+    nodes left of the origin, and _holder_ratio of the window returns the
+    full line's value bit for bit.
+    """
+    v, h = p.values, p.grid.spacing
+    span, w = float(np.ptp(v)), 1
+    while w < len(v) and span > _cut(floor, w, h):
+        w *= 2
+    return v[max(p.grid.center_index + 1 - w // 2, 0):]
+
+
 def _cone_report(p: Profile, ledger: ConstantsLedger, floor: float) -> ConeReport:
-    """The membership conditions, the modulus search floored at floor."""
+    """The membership conditions, the modulus search floored at floor; with
+    floor > 0 the search runs on the floored window of p only."""
     g = p.grid
     sup_value = sup_norm(p)
-    worst = _holder_ratio(p.values, g.spacing, floor)
+    v = _floored_window(p, floor) if floor > 0.0 else p.values
+    worst = _holder_ratio(v, g.spacing, floor)
     margin = float(np.min(p.u - ledger.c2 * g.ramp))
     margin = min(margin, p.tau - ledger.c2 * 0.5)
     return ConeReport(
@@ -240,7 +270,8 @@ def check_cone(p: Profile, ledger: ConstantsLedger) -> ConeReport:
 def is_cone_member(p: Profile, ledger: ConstantsLedger) -> bool:
     """check_cone(p, ledger).member, with the modulus search floored at its
     bound: a ratio at or below c1 + MEMBERSHIP_SLACK passes either way, so
-    only node pairs that could break the bound are searched."""
+    only node pairs that could break the bound are searched, and only on
+    the nodes that hold a twin of each such pair (see _floored_window)."""
     return _cone_report(p, ledger, ledger.c1 + MEMBERSHIP_SLACK).member
 
 

@@ -117,14 +117,17 @@ class _Quadrature:
     node 1 - m, yields exactly the wanted outputs.  It is taken as a
     product of spectra: the spectrum of h * row is computed once, at the
     least 5-smooth length N >= M + 2m, the extension's length.  Each
-    application writes the extension once, by slices, into a fresh zeroed
-    FFT input of length N and costs one rfft/irfft pair, with the spectra
-    multiplied in place; the operator holds no mutable state, so a memoised
-    build can be shared.  The linear convolution of the extension with the
-    row (length 2m + 1) ends at index M + 4m - 1, so the circular one of
-    length N folds only its indices N and above back, onto indices below
-    M + 4m - N <= 2m: the outputs 2m .. 2m + M - 1 it keeps have no
-    wrap-around.  The kernel is a K0 + b K1 with
+    application writes the extension once, by slices, into an FFT input of
+    length N, zero-padded, and costs one rfft/irfft pair, with the spectra
+    multiplied in place and the output written back over the input.  The
+    input and the spectrum come from `workspace()`: a caller that applies
+    the operator many times (`solve`) keeps one workspace for the run, and
+    a call without one allocates its own.  The operator holds no mutable
+    state, so a memoised build can be shared.  The linear convolution of
+    the extension with the row (length 2m + 1) ends at index M + 4m - 1, so
+    the circular one of length N folds only its indices N and above back,
+    onto indices below M + 4m - N <= 2m: the outputs 2m .. 2m + M - 1 it
+    keeps have no wrap-around.  The kernel is a K0 + b K1 with
     weights (a, b); the mass outside the window is added in closed form
     through its cumulative integral C and total mass a:
     tau (a - C(w)) - tau C(-w).
@@ -168,19 +171,29 @@ class _Quadrature:
         self.cusp = (2.0 * _ZETA_M43 * h * h / c) * eval_kernel_derivative(
             grid.x_half, weights)
 
-    def __call__(self, u: np.ndarray, tau: float) -> np.ndarray:
-        """Image on the positive nodes of the odd profile (u, tau)."""
+    def workspace(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh arrays for one caller's applications: the FFT input, which
+        also takes the output, and the spectrum."""
+        n = self.n_fft
+        return np.empty(n), np.empty(n // 2 + 1, dtype=complex)
+
+    def __call__(self, u: np.ndarray, tau: float, work=None) -> np.ndarray:
+        """Image on the positive nodes of the odd profile (u, tau), a view
+        of the workspace `work` when one is given."""
         n, m, size = self.n_fft, self.m, len(u)
-        # from node 1 - m: -tau beyond -L, the mirrored -u, 0, u, then tau
-        ext = np.zeros(n)
+        ext, spectrum = self.workspace() if work is None else work
+        # from node 1 - m: -tau beyond -L, the mirrored -u, 0, u, tau, then
+        # zeros; every entry is written, as the last call's output fills ext
         beyond = max(m - 1 - size, 0)
         ext[:beyond] = -tau
         np.negative(u[m - 2 - beyond::-1], out=ext[beyond:m - 1])
+        ext[m - 1] = 0.0
         ext[m:m + size] = u
         ext[m + size:2 * m + size] = tau
-        spectrum = np.fft.rfft(ext)
+        ext[2 * m + size:] = 0.0
+        np.fft.rfft(ext, out=spectrum)
         spectrum *= self.spectrum
-        out = np.fft.irfft(spectrum, n)[2 * m:2 * m + size]
+        out = np.fft.irfft(spectrum, n, out=ext)[2 * m:2 * m + size]
         u1, u2, u3 = u[:3].tolist()
         out += tau * self.odd_remainder
         out += (5.0 * u1 - 4.0 * u2 + u3) * self.cusp
@@ -211,12 +224,25 @@ class _Spectral:
         curvature = w1 * (4.0 * b**3 / _SQRT_PI) * x * np.exp(-(b * x) ** 2)
         self.reference_image = w0 * erf(b * x) + curvature
 
-    def __call__(self, u: np.ndarray, tau: float) -> np.ndarray:
-        """Image on the positive nodes of the odd profile (u, tau)."""
+    def workspace(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh arrays for one caller's applications: the periodic odd
+        extension, which also takes the image, and its spectrum."""
+        size = len(self.reference)
+        return np.empty(2 * size), np.empty(size + 1, dtype=complex)
+
+    def __call__(self, u: np.ndarray, tau: float, work=None) -> np.ndarray:
+        """Image on the positive nodes of the odd profile (u, tau), using the
+        workspace `work` when one is given."""
+        size = len(u)
+        arr, spectrum = self.workspace() if work is None else work
         d = u - tau * self.reference
-        arr = np.concatenate([[0.0], -d[-2::-1], [0.0], d[:-1]])
-        img = np.fft.irfft(np.fft.rfft(arr) * self.symbol, n=len(arr))
-        return np.append(img[len(u) + 1:], 0.0) + tau * self.reference_image
+        arr[0] = arr[size] = 0.0
+        np.negative(d[-2::-1], out=arr[1:size])
+        arr[size + 1:] = d[:-1]
+        np.fft.rfft(arr, out=spectrum)
+        spectrum *= self.symbol
+        img = np.fft.irfft(spectrum, 2 * size, out=arr)
+        return np.append(img[size + 1:], 0.0) + tau * self.reference_image
 
 
 @lru_cache(maxsize=8)
@@ -225,10 +251,13 @@ def build_operator(grid: GridSpec, weights: tuple[float, float],
     """a K0 + b K1 on odd profiles, built once per (grid, weights, cfg).
 
     Calling the result with the values u on the positive nodes and the
-    right tail tau returns the image on those nodes.  The quadrature kernel
-    row is the combined a K0 + b K1, so an application costs one spectrum
-    product whatever the weights.  Recent builds are memoised (the arguments
-    are frozen) and shared, so callers only read them.
+    right tail tau returns the image on those nodes.  A third argument, the
+    array pair from the result's `workspace()`, lets repeated calls reuse
+    their FFT arrays; the image may then be a view into it, valid until the
+    next call with it.  The quadrature kernel row is the combined
+    a K0 + b K1, so an application costs one spectrum product whatever the
+    weights.  Recent builds are memoised (the arguments are frozen) and
+    shared, so callers only read them.
     """
     if cfg.method == "spectral":
         return _Spectral(grid, weights)

@@ -5,7 +5,10 @@ argument lives entirely in odd functions, and so does a Profile: the
 iterate is a copy of the start's values u on the positive nodes plus its
 right tail tau, pushed through the half-line operator built once per solve,
 and a Profile is built again only at exit.  The iterate is updated in
-place; the residual uses one scratch array per solve.
+place; the residual uses one scratch array per solve, and the operator's
+FFT arrays are one workspace per solve.  Cone membership is judged at both
+ends of a solve; the erf start's verdict depends only on the grid and the
+ledger, so it is computed once per (grid, ledger) in a process.
 
 Convergence is declared on the map residual sup |image - iterate|, never on
 the damped step size, so damping cannot mask stagnation.  Non-convergence
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,17 +117,29 @@ def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
              else profile_from_csv(path, tau=1.0))
         _check_grid(p, grid)
     elif kind == "erf":
-        p = Profile(grid=grid, u=2.0 * grid.ramp, tau=1.0)
+        p = _erf_start(grid)
     elif kind == "sign":
         p = Profile(grid=grid, u=np.minimum(grid.x_half / SIGN_RAMP_HALF_WIDTH, 1.0),
                     tau=1.0)
     else:
         raise ValueError(f"unknown initial guess {kind!r}")
 
-    if not is_cone_member(p, ledger):
+    member = (_erf_start_is_member(grid, ledger) if kind == "erf"
+              else is_cone_member(p, ledger))
+    if not member:
         warnings.warn(f"initial guess {kind!r} is not a cone member: "
                       f"{check_cone(p, ledger)}", stacklevel=2)
     return p
+
+
+def _erf_start(grid: GridSpec) -> Profile:
+    return Profile(grid=grid, u=2.0 * grid.ramp, tau=1.0)
+
+
+@lru_cache(maxsize=8)
+def _erf_start_is_member(grid: GridSpec, ledger: ConstantsLedger) -> bool:
+    """is_cone_member of the erf start, memoised: both arguments are frozen."""
+    return is_cone_member(_erf_start(grid), ledger)
 
 
 def _check_grid(p: Profile, grid: GridSpec) -> None:
@@ -150,6 +166,7 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     u, tau = initial.u.copy(), initial.tau  # the loop updates u in place
     scratch = np.empty_like(u)
     op = build_operator(grid, KernelFamily(cfg_solve.q).weights, cfg_op)
+    work = op.workspace()
 
     omega = cfg_solve.damping
     trace: list[float] = []
@@ -158,7 +175,7 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     converged = False
     growth_streak = 0
     for _ in range(cfg_solve.max_iter):
-        image = op(u, tau)
+        image = op(u, tau, work)  # may view work: used up before the next call
         np.cbrt(image, out=image)
         image_tau = float(np.cbrt(tau))
         np.abs(np.subtract(image, u, out=scratch), out=scratch)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from kinksolve.cone import (
+    MEMBERSHIP_SLACK,
     ConstantsLedger,
     LedgerInvariantError,
+    _floored_window,
     _holder_ratio,
     c5_bound,
     check_cone,
@@ -382,3 +385,51 @@ def test_is_cone_member_agrees_with_check_cone(default_grid, ledger, kink_q0):
     assert all(floored == exact for floored, exact in verdicts)
     members = sum(exact for _, exact in verdicts)
     assert 0 < len(verdicts) - members and members > 900
+
+
+def _window_extremal(grid, floor, lag_end):
+    # u_j = U min(j / a, 1)^(1/2) with a = lag_end / 2 - 1: the one worst
+    # pair is (-a h, a h), at lag lag_end - 2 across the origin, and the range
+    # 2U puts the floored search's first unreached lag at lag_end
+    a = lag_end // 2 - 1
+    top = 0.5 * floor * (lag_end * grid.spacing) ** (1.0 / 3.0) * (1.0 - 1e-9)
+    u = top * np.sqrt(np.minimum(np.arange(1, grid.center_index + 1) / a, 1.0))
+    return Profile(grid=grid, u=u, tau=top)
+
+
+@pytest.mark.parametrize("half_width, spacing",
+                         [(20.0, 0.05), (40.0, 0.0125), (5.0, 0.05), (10.0, 0.1)])
+def test_floored_window_search_equals_the_full_line_search(ledger, half_width, spacing):
+    grid = GridSpec(half_width=half_width, spacing=spacing,
+                    n_points=2 * round(half_width / spacing) + 1)
+    m, bound = grid.center_index, ledger.c1 + MEMBERSHIP_SLACK
+    rng = np.random.default_rng([23, m])
+    draws = random_cone_members(50, grid, ledger, seed=11)
+    profiles = draws + [apply_pq(d, KernelFamily(0.137)) for d in draws]
+    for scale in (1e-3, 1e-2, 0.1, 1.0):
+        profiles.append(Profile(grid=grid, u=scale * rng.normal(size=m), tau=scale))
+        walk = scale * np.cumsum(rng.normal(size=m)) * spacing ** 0.5
+        profiles.append(Profile(grid=grid, u=walk, tau=walk[-1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the sign start misses the cone
+        profiles.append(initial_guess("sign", grid, ledger))
+    # the extremal profile needs the window's first node: one node less and
+    # the search misses its worst pair (and its only twin, itself)
+    extremal = _window_extremal(grid, bound, 16)
+    assert len(_floored_window(extremal, bound)) == m + 16 // 2
+    assert _holder_ratio(extremal.values[m - 7:], spacing, bound) > bound
+    assert _holder_ratio(extremal.values[m - 6:], spacing, bound) < _holder_ratio(
+        extremal.values, spacing, bound)
+    profiles.append(extremal)
+    cases = cut = failing = 0
+    for p in profiles:
+        for floor in (0.5 * bound, bound, 2.0 * bound):
+            window = _floored_window(p, floor)
+            full = _holder_ratio(p.values, spacing, floor)
+            windowed = _holder_ratio(window, spacing, floor)
+            assert windowed == full, (floor, windowed, full)
+            assert (windowed <= bound) == (full <= bound)
+            cases += 1
+            cut += len(window) < len(p.values)
+            failing += full > floor
+    assert 0 < cut < cases and 0 < failing < cases

@@ -318,6 +318,30 @@ def test_quadrature_spectrum_matches_direct_convolution(half_width, spacing, wei
     assert np.max(np.abs(op(u, tau) - odd)) <= 1e-13
 
 
+# (5, 0.05): the window reaches past -L (m = 240 > M = 100), and both grids
+# pad the FFT input beyond M + 2m (600 > 580, 900 > 880)
+@pytest.mark.parametrize("half_width, spacing", [(5.0, 0.05), (20.0, 0.05)])
+@pytest.mark.parametrize("method", ["quadrature", "spectral"])
+@pytest.mark.parametrize("q", [0.0, 1.3])
+def test_operator_with_a_workspace_equals_an_allocating_call(half_width, spacing, method, q):
+    grid = make_grid(half_width, spacing)
+    op = build_operator(grid, KernelFamily(q).weights, OperatorConfig(method))
+    work = op.workspace()
+    for array in work:
+        array.fill(np.nan)  # every entry a call reads must be written first
+    rng = np.random.default_rng(19)
+    x = grid.x_half
+    starts = [(np.cbrt(np.tanh(x)), 1.0), (0.3 * rng.normal(size=x.size), -0.7),
+              (np.zeros_like(x), 0.0), (np.tanh(2.0 * x) + 0.01 * np.sin(9.0 * x), 1.0)]
+    for u, tau in starts + starts[::-1]:
+        reused = op(u, tau, work).copy()  # valid until the next call with work
+        assert np.array_equal(reused, op(u, tau))
+    p = Profile(grid=grid, u=starts[0][0], tau=1.0)
+    images = [apply_tq(p, KernelFamily(q), OperatorConfig(method)) for _ in range(2)]
+    assert np.array_equal(images[0].u, images[1].u)
+    assert not np.shares_memory(images[0].u, images[1].u)
+
+
 def test_cusp_coefficient_is_the_reflection_formula_for_zeta():
     # zeta(-4/3) = 2^(-4/3) pi^(-7/3) sin(-2 pi/3) Gamma(7/3) zeta(7/3),
     # evaluated here as the package evaluated it before it held the constant

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+import kinksolve.cone as cone_module
 import kinksolve.solver as solver_module
 from kinksolve.cone import c5_bound, check_cone
 from kinksolve.grid import (
@@ -362,6 +363,43 @@ def test_damping_fallback_on_oscillation(default_grid, ledger):
     assert rep.to_json_dict()["events"] == rep.events
 
 
+def test_erf_start_verdict_is_judged_once_per_grid_and_ledger(ledger, monkeypatch):
+    # two solves judge three profiles: the erf start once, each solution once
+    grid = make_grid(10.0, 0.05)
+    searches = []
+    search = cone_module._holder_ratio
+
+    def counting_search(*args):
+        searches.append(len(args[0]))
+        return search(*args)
+
+    monkeypatch.setattr(cone_module, "_holder_ratio", counting_search)
+    solver_module._erf_start_is_member.cache_clear()
+    first, second = (solve(SolveConfig(), grid, ledger) for _ in range(2))
+    assert len(searches) == 3
+    assert first.cone_member_final and second.cone_member_final
+    assert np.array_equal(first.solution.u, second.solution.u)
+    assert first.residual_trace == second.residual_trace
+
+
+def test_erf_start_outside_the_cone_warns_on_every_call(default_grid, ledger):
+    narrow = dataclasses.replace(ledger, c0=0.9)  # below the erf start's sup 1
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="'erf' is not a cone member: "
+                                             "ConeReport\\(is_bounded=False"):
+            initial_guess("erf", default_grid, narrow)
+        with pytest.warns(UserWarning, match="'erf' is not a cone member"):
+            solve(SolveConfig(max_iter=1), default_grid, narrow)
+
+
+def test_erf_start_is_fresh_on_every_call(default_grid, ledger):
+    first = initial_guess("erf", default_grid, ledger)
+    first.u[:] = 0.0
+    second = initial_guess("erf", default_grid, ledger)
+    assert np.array_equal(second.u, erf(default_grid.x_half))
+    assert not np.shares_memory(first.u, second.u)
+
+
 @pytest.mark.parametrize("method", ["quadrature", "spectral"])
 @pytest.mark.parametrize("amplitude", [1e308, 1e307])
 def test_solve_raises_on_non_finite_iterate(default_grid, ledger, method, amplitude,
@@ -374,10 +412,11 @@ def test_solve_raises_on_non_finite_iterate(default_grid, ledger, method, amplit
     def counting_build(*args):
         op = build(*args)
 
-        def counted(u, tau):
+        def counted(u, tau, work=None):
             applications.append(tau)
-            return op(u, tau)
+            return op(u, tau, work)
 
+        counted.workspace = op.workspace
         return counted
 
     monkeypatch.setattr(solver_module, "build_operator", counting_build)

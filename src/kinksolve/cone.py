@@ -204,15 +204,10 @@ def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:
     """
     n, worst, w = len(v), floor, 1
     hi, lo, span = v.copy(), v.copy(), float(np.ptp(v)) if n else 0.0
-    # one scratch pair serves every block, so the search allocates no
-    # full-length temporaries (at n = 6401 they made the heap shrink and
-    # regrow, and page-fault, within each solve)
-    reach, down = np.empty(n), np.empty(n)
     while w < n and span > (cut := _cut(worst, w, h)):
-        hi[:-w] = np.maximum(hi[:-w], hi[w:], out=reach[:-w])
-        lo[:-w] = np.minimum(lo[:-w], lo[w:], out=reach[:-w])
-        np.maximum(np.subtract(hi, v, out=reach), np.subtract(v, lo, out=down), out=reach)
-        starts = np.flatnonzero(reach[:-w] > cut)
+        hi[:-w], lo[:-w] = np.maximum(hi[:-w], hi[w:]), np.minimum(lo[:-w], lo[w:])
+        reach = np.maximum(hi - v, v - lo)[:n - w]
+        starts = np.flatnonzero(reach > cut)
         lags = np.arange(w, 2 * w)
         scale = (lags * h) ** (1.0 / 3.0)
         rows = max(1, (1 << 14) // w)

@@ -224,25 +224,17 @@ class _Spectral:
         curvature = w1 * (4.0 * b**3 / _SQRT_PI) * x * np.exp(-(b * x) ** 2)
         self.reference_image = w0 * erf(b * x) + curvature
 
-    def workspace(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh arrays for one caller's applications: the periodic odd
-        extension, which also takes the image, and its spectrum."""
-        size = len(self.reference)
-        return np.empty(2 * size), np.empty(size + 1, dtype=complex)
+    def workspace(self) -> None:
+        """No workspace: each application allocates its own arrays."""
+        return None
 
     def __call__(self, u: np.ndarray, tau: float, work=None) -> np.ndarray:
-        """Image on the positive nodes of the odd profile (u, tau), using the
-        workspace `work` when one is given."""
-        size = len(u)
-        arr, spectrum = self.workspace() if work is None else work
+        """Image on the positive nodes of the odd profile (u, tau); `work`
+        is accepted for the quadrature's call signature and ignored."""
         d = u - tau * self.reference
-        arr[0] = arr[size] = 0.0
-        np.negative(d[-2::-1], out=arr[1:size])
-        arr[size + 1:] = d[:-1]
-        np.fft.rfft(arr, out=spectrum)
-        spectrum *= self.symbol
-        img = np.fft.irfft(spectrum, 2 * size, out=arr)
-        return np.append(img[size + 1:], 0.0) + tau * self.reference_image
+        arr = np.concatenate([[0.0], -d[-2::-1], [0.0], d[:-1]])
+        img = np.fft.irfft(np.fft.rfft(arr) * self.symbol, n=len(arr))
+        return np.append(img[len(u) + 1:], 0.0) + tau * self.reference_image
 
 
 @lru_cache(maxsize=8)
@@ -252,11 +244,11 @@ def build_operator(grid: GridSpec, weights: tuple[float, float],
 
     Calling the result with the values u on the positive nodes and the
     right tail tau returns the image on those nodes.  A third argument, the
-    array pair from the result's `workspace()`, lets repeated calls reuse
-    their FFT arrays; the image may then be a view into it, valid until the
-    next call with it.  The quadrature kernel row is the combined
-    a K0 + b K1, so an application costs one spectrum product whatever the
-    weights.  Recent builds are memoised (the arguments are frozen) and
+    result's `workspace()`, lets repeated calls reuse their FFT arrays (the
+    quadrature's; the spectral operator's workspace is None); the image may
+    then be a view into it, valid until the next call with it.  The
+    quadrature kernel row is the combined a K0 + b K1, so an application
+    costs one spectrum product whatever the weights.  Recent builds are memoised (the arguments are frozen) and
     shared, so callers only read them.
     """
     if cfg.method == "spectral":

@@ -88,8 +88,6 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--omega", type=float, default=1.0)
     p_solve.add_argument("--init", default="erf",
                          help="erf | sign | file:PATH")
-    p_solve.add_argument("--method", choices=["quadrature", "spectral"],
-                         default="quadrature")
     p_solve.add_argument("--out", default="solution.csv")
     p_solve.add_argument("--format", choices=["csv", "json"], default="csv")
     p_solve.add_argument("--ledger", default=None,
@@ -135,10 +133,9 @@ def _load_or_compute_ledger(grid, ledger_path):
 def _cmd_solve(args) -> tuple[int, list[str]]:
     init, init_path = _parse_init(args.init)
     grid = make_grid(args.L, args.h)
-    cfg_op = OperatorConfig(method=args.method)
     ledger = _load_or_compute_ledger(grid, args.ledger)
     cfg = SolveConfig(q=args.q, damping=args.omega, tol=args.tol, max_iter=args.max_iter)
-    report = solve(cfg, grid, ledger, cfg_op,
+    report = solve(cfg, grid, ledger,
                    initial=initial_guess(init, grid, ledger, init_path))
 
     out = Path(args.out)

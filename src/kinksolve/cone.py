@@ -220,7 +220,7 @@ def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:
 
 
 def _floored_window(p: Profile, floor: float) -> np.ndarray:
-    """The nodes of p that the modulus search floored at floor > 0 needs.
+    """The nodes of p that the modulus search floored at floor needs.
 
     The search stops at the first w = 2^k whose cut the range of p.values is
     within, so it reaches lags below w only.  A pair left of the origin
@@ -228,7 +228,8 @@ def _floored_window(p: Profile, floor: float) -> np.ndarray:
     each twin has the same lag and the same |difference| to the bit.  So
     every pair the search must see has a twin that starts at most w/2 - 1
     nodes left of the origin, and _holder_ratio of the window returns the
-    full line's value bit for bit.
+    full line's value bit for bit.  At floor 0 the cut is 0: w of a
+    nonconstant p reaches 2^k >= n + 1, and the window is the whole line.
     """
     v, h = p.values, p.grid.spacing
     span, w = float(np.ptp(v)), 1
@@ -238,12 +239,11 @@ def _floored_window(p: Profile, floor: float) -> np.ndarray:
 
 
 def _cone_report(p: Profile, ledger: ConstantsLedger, floor: float) -> ConeReport:
-    """The membership conditions, the modulus search floored at floor; with
-    floor > 0 the search runs on the floored window of p only."""
+    """The membership conditions, the modulus search floored at floor and
+    run on the floored window of p (the whole line when floor is 0)."""
     g = p.grid
     sup_value = sup_norm(p)
-    v = _floored_window(p, floor) if floor > 0.0 else p.values
-    worst = _holder_ratio(v, g.spacing, floor)
+    worst = _holder_ratio(_floored_window(p, floor), g.spacing, floor)
     margin = float(np.min(p.u - ledger.c2 * g.ramp))
     margin = min(margin, p.tau - ledger.c2 * 0.5)
     return ConeReport(
@@ -266,7 +266,7 @@ def is_cone_member(p: Profile, ledger: ConstantsLedger) -> bool:
     """check_cone(p, ledger).member, with the modulus search floored at its
     bound: a ratio at or below c1 + MEMBERSHIP_SLACK passes either way, so
     only node pairs that could break the bound are searched, and only on
-    the nodes that hold a twin of each such pair (see _floored_window)."""
+    the window of p that holds a twin of each (see _floored_window)."""
     return _cone_report(p, ledger, ledger.c1 + MEMBERSHIP_SLACK).member
 
 

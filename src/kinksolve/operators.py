@@ -11,7 +11,7 @@ construction and the discretization commutes with x -> -x bitwise (the cube
 root would amplify any stray asymmetry at the kink's zero crossing by
 |noise|^(-2/3)).
 
-Two independent discretizations are provided:
+Two independent discretizations of the linear operator are provided:
 
 * quadrature -- trapezoidal convolution against the closed-form kernel on
   the truncated grid, with the mass beyond the truncation accounted for
@@ -20,8 +20,10 @@ Two independent discretizations are provided:
   is known in closed form, push the rapidly decaying remainder through an
   FFT multiplier, and add the reference image back.
 
-The nonlinear map composes the linear operator with the odd real branch of
-the cube root, the branch forced by sign-changing solutions.
+The nonlinear map, which `solve` iterates, composes the quadrature operator
+with the odd real branch of the cube root, the branch forced by
+sign-changing solutions.  The spectral operator cross-checks the linear one
+only: it leaves the cube-root cusp's O(h^(7/3)) error uncorrected.
 """
 
 from __future__ import annotations
@@ -177,7 +179,8 @@ class _Quadrature:
         n = self.n_fft
         return np.empty(n), np.empty(n // 2 + 1, dtype=complex)
 
-    def __call__(self, u: np.ndarray, tau: float, work=None) -> np.ndarray:
+    def __call__(self, u: np.ndarray, tau: float,
+                 work: tuple | None = None) -> np.ndarray:
         """Image on the positive nodes of the odd profile (u, tau), a view
         of the workspace `work` when one is given."""
         n, m, size = self.n_fft, self.m, len(u)
@@ -224,13 +227,8 @@ class _Spectral:
         curvature = w1 * (4.0 * b**3 / _SQRT_PI) * x * np.exp(-(b * x) ** 2)
         self.reference_image = w0 * erf(b * x) + curvature
 
-    def workspace(self) -> None:
-        """No workspace: each application allocates its own arrays."""
-        return None
-
-    def __call__(self, u: np.ndarray, tau: float, work=None) -> np.ndarray:
-        """Image on the positive nodes of the odd profile (u, tau); `work`
-        is accepted for the quadrature's call signature and ignored."""
+    def __call__(self, u: np.ndarray, tau: float) -> np.ndarray:
+        """Image on the positive nodes of the odd profile (u, tau)."""
         d = u - tau * self.reference
         arr = np.concatenate([[0.0], -d[-2::-1], [0.0], d[:-1]])
         img = np.fft.irfft(np.fft.rfft(arr) * self.symbol, n=len(arr))
@@ -243,13 +241,13 @@ def build_operator(grid: GridSpec, weights: tuple[float, float],
     """a K0 + b K1 on odd profiles, built once per (grid, weights, cfg).
 
     Calling the result with the values u on the positive nodes and the
-    right tail tau returns the image on those nodes.  A third argument, the
-    result's `workspace()`, lets repeated calls reuse their FFT arrays (the
-    quadrature's; the spectral operator's workspace is None); the image may
-    then be a view into it, valid until the next call with it.  The
-    quadrature kernel row is the combined a K0 + b K1, so an application
-    costs one spectrum product whatever the weights.  Recent builds are memoised (the arguments are frozen) and
-    shared, so callers only read them.
+    right tail tau returns the image on those nodes.  The quadrature's
+    `workspace()`, passed as a third argument, lets repeated calls reuse
+    their FFT arrays; the image is then a view into it, valid until the
+    next call with it.  The kernel row is the combined a K0 + b K1, so an
+    application costs one spectrum product whatever the weights.  Recent
+    builds are memoised, keyed on the arguments as passed (so callers pass
+    cfg positionally), and shared, so callers only read them.
     """
     if cfg.method == "spectral":
         return _Spectral(grid, weights)
@@ -265,12 +263,12 @@ def apply_tq(p: Profile, family: KernelFamily,
     return Profile(grid=p.grid, u=image, tau=p.tau)
 
 
-def apply_pq(p: Profile, family: KernelFamily,
-             cfg: OperatorConfig = OperatorConfig()) -> Profile:
-    """Nonlinear map: odd cube root of the linear image of the odd profile p.
+def apply_pq(p: Profile, family: KernelFamily) -> Profile:
+    """Nonlinear map: odd cube root of the quadrature image of the odd
+    profile p, the map `solve` iterates.
 
     Constant tails +-c map to +-c^(1/3) because the Gaussian part preserves
     constants and the curvature part annihilates them at infinity.
     """
-    image = build_operator(p.grid, family.weights, cfg)(p.u, p.tau)
+    image = build_operator(p.grid, family.weights, OperatorConfig())(p.u, p.tau)
     return Profile(grid=p.grid, u=np.cbrt(image), tau=float(np.cbrt(p.tau)))

@@ -150,7 +150,6 @@ def _check_grid(p: Profile, grid: GridSpec) -> None:
 
 
 def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
-          cfg_op: OperatorConfig = OperatorConfig(),
           initial: Profile | None = None) -> SolveReport:
     """Iterate the map until the residual meets tol or max_iter is spent.
 
@@ -165,7 +164,8 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     _check_grid(initial, grid)
     u, tau = initial.u.copy(), initial.tau  # the loop updates u in place
     scratch = np.empty_like(u)
-    op = build_operator(grid, KernelFamily(cfg_solve.q).weights, cfg_op)
+    # cfg positional: the cache entry apply_tq and apply_pq use
+    op = build_operator(grid, KernelFamily(cfg_solve.q).weights, OperatorConfig())
     work = op.workspace()
 
     omega = cfg_solve.damping

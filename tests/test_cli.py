@@ -251,11 +251,14 @@ def test_solve_with_a_loaded_ledger_that_breaks_an_invariant_exits_3(
 
 
 def test_init_psi_aliases_exit_1(workdir, capsys):
-    # erf is the one name of the Gaussian-ramp start
-    for init in ("psi", "psi_scaled"):
-        assert main(["solve", "--init", init, "--out", "sol.csv"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: unknown --init value {init!r}")
+    # erf is the one name of the Gaussian-ramp start, and quadrature the
+    # one discretization of the map
+    for flag, message in [(["--init", "psi"], "unknown --init value 'psi'"),
+                          (["--init", "psi_scaled"], "unknown --init value 'psi_scaled'"),
+                          (["--method", "spectral"],
+                           "unrecognized arguments: --method spectral")]:
+        assert main(["solve", *flag, "--out", "sol.csv"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
     assert list(workdir.iterdir()) == []
 
 

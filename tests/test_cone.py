@@ -398,7 +398,8 @@ def _window_extremal(grid, floor, lag_end):
 
 
 @pytest.mark.parametrize("half_width, spacing",
-                         [(20.0, 0.05), (40.0, 0.0125), (5.0, 0.05), (10.0, 0.1)])
+                         [(20.0, 0.05), (40.0, 0.0125), (5.0, 0.05), (10.0, 0.1),
+                          (5.0, 0.5)])
 def test_floored_window_search_equals_the_full_line_search(ledger, half_width, spacing):
     grid = GridSpec(half_width=half_width, spacing=spacing,
                     n_points=2 * round(half_width / spacing) + 1)
@@ -423,8 +424,10 @@ def test_floored_window_search_equals_the_full_line_search(ledger, half_width, s
     profiles.append(extremal)
     cases = cut = failing = 0
     for p in profiles:
-        for floor in (0.5 * bound, bound, 2.0 * bound):
+        for floor in (0.0, 0.5 * bound, bound, 2.0 * bound):
             window = _floored_window(p, floor)
+            if floor == 0.0:  # check_cone's search: the whole line
+                assert np.ptp(p.values) > 0.0 and len(window) == grid.n_points
             full = _holder_ratio(p.values, spacing, floor)
             windowed = _holder_ratio(window, spacing, floor)
             assert windowed == full, (floor, windowed, full)

@@ -20,7 +20,7 @@ from kinksolve.grid import (
 )
 from kinksolve import kernels
 from kinksolve.kernels import KernelFamily
-from kinksolve.operators import OperatorConfig, apply_pq, apply_tq, build_operator, psi
+from kinksolve.operators import apply_pq, apply_tq, build_operator, psi
 from kinksolve.solver import (
     SolveConfig,
     decay_ratio,
@@ -400,7 +400,9 @@ def test_erf_start_is_fresh_on_every_call(default_grid, ledger):
     assert not np.shares_memory(first.u, second.u)
 
 
-@pytest.mark.parametrize("method", ["quadrature", "spectral"])
+# quadrature is the one discretization solve iterates; the parameter keeps
+# the test ids that named it next to the spectral one
+@pytest.mark.parametrize("method", ["quadrature"])
 @pytest.mark.parametrize("amplitude", [1e308, 1e307])
 def test_solve_raises_on_non_finite_iterate(default_grid, ledger, method, amplitude,
                                            monkeypatch):
@@ -424,19 +426,18 @@ def test_solve_raises_on_non_finite_iterate(default_grid, ledger, method, amplit
                     tau=amplitude)
     with np.errstate(all="ignore"), \
             pytest.raises(ValueError, match="profile values must be finite"):
-        solve(SolveConfig(q=0.1), default_grid, ledger, OperatorConfig(method),
-              initial=start)
+        solve(SolveConfig(q=0.1), default_grid, ledger, initial=start)
     assert len(applications) <= 1
 
 
-def _full_line_picard(cfg, grid, ledger, cfg_op):
+def _full_line_picard(cfg, grid, ledger):
     """Reference loop: full-line mix with its odd part taken inline, and the
     damping fallback."""
     family = KernelFamily(cfg.q)
     p = initial_guess("erf", grid, ledger)
     omega, trace, growth_streak = cfg.damping, [], 0
     for _ in range(cfg.max_iter):
-        image = apply_pq(p, family, cfg_op)
+        image = apply_pq(p, family)
         trace.append(sup_distance(image, p))
         if trace[-1] <= cfg.tol:
             break
@@ -453,14 +454,13 @@ def _full_line_picard(cfg, grid, ledger, cfg_op):
     return p, len(trace)
 
 
-@pytest.mark.parametrize("method", ["quadrature", "spectral"])
+@pytest.mark.parametrize("method", ["quadrature"])  # as above, for the test ids
 @pytest.mark.parametrize("q_of", [lambda q0: 0.0, lambda q0: q0 / 2.0, lambda q0: 2.0],
                          ids=["0", "q0/2", "2.0"])
 def test_solve_matches_full_line_picard(default_grid, ledger, method, q_of):
     cfg = SolveConfig(q=q_of(ledger.q0))
-    cfg_op = OperatorConfig(method)
-    expected, iterations = _full_line_picard(cfg, default_grid, ledger, cfg_op)
-    rep = solve(cfg, default_grid, ledger, cfg_op)
+    expected, iterations = _full_line_picard(cfg, default_grid, ledger)
+    rep = solve(cfg, default_grid, ledger)
     assert rep.converged
     assert rep.iterations == iterations
     assert sup_distance(rep.solution, expected) <= 1e-13
@@ -469,6 +469,18 @@ def test_solve_matches_full_line_picard(default_grid, ledger, method, q_of):
     assert v[default_grid.center_index] == 0.0
     tails = profile_to_json_dict(rep.solution)
     assert tails["tail_left"] == -tails["tail_right"]
+
+
+def test_solve_apply_tq_and_apply_pq_share_one_operator_build(default_grid, ledger):
+    # the cache keys the arguments as passed, so an omitted cfg and a
+    # positional OperatorConfig() would be two entries of one operator
+    family = KernelFamily(0.3)
+    p = initial_guess("erf", default_grid, ledger)
+    build_operator.cache_clear()
+    solve(SolveConfig(q=family.q), default_grid, ledger)
+    apply_tq(p, family)
+    apply_pq(p, family)
+    assert build_operator.cache_info().misses == 1
 
 
 def _half_line_picard(cfg, grid, ledger, initial):

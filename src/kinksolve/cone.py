@@ -185,26 +185,21 @@ def validate_ledger(ledger: ConstantsLedger) -> None:
         raise LedgerInvariantError("q0 must be strictly positive")
 
 
-def _cut(bound: float, w: int, h: float) -> float:
-    """bound (w h)^(1/3), a few ulps low, so that no rounding prunes a pair
-    that beats bound: once the range of v is within it, no lag >= w can."""
-    return bound * (w * h) ** (1.0 / 3.0) * (1.0 - 1e-15)
-
-
 def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:
     """max(floor, max over node pairs i < j of |v_j - v_i| / ((j - i) h)^(1/3)).
 
     Lags go in dyadic blocks [w, 2w).  hi and lo, built by doubling, hold the
     max and min of v on each start's window v[i : i + 2w], which holds all its
-    partners in the block, so only starts reaching beyond worst (w h)^(1/3)
-    are gathered, 2^14 elements (or one start) at a time to keep memory
-    flat.  Once the range of v is within that bound, no longer lag can win.
-    worst starts at floor, so a floor at the cone's bound prunes every start
-    that cannot break it: all that a yes/no membership answer needs.
+    partners in the block, so only starts reaching beyond the cut worst
+    (w h)^(1/3), taken a few ulps low so that no rounding prunes a pair that
+    beats worst, are gathered, 2^14 elements (or one start) at a time to keep
+    memory flat.  Once the range of v is within the cut, no longer lag can
+    win.  worst starts at floor, so a floor at the cone's bound prunes every
+    start that cannot break it: all that a yes/no membership answer needs.
     """
     n, worst, w = len(v), floor, 1
     hi, lo, span = v.copy(), v.copy(), float(np.ptp(v)) if n else 0.0
-    while w < n and span > (cut := _cut(worst, w, h)):
+    while w < n and span > (cut := worst * (w * h) ** (1.0 / 3.0) * (1.0 - 1e-15)):
         hi[:-w], lo[:-w] = np.maximum(hi[:-w], hi[w:]), np.minimum(lo[:-w], lo[w:])
         reach = np.maximum(hi - v, v - lo)[:n - w]
         starts = np.flatnonzero(reach > cut)
@@ -219,32 +214,25 @@ def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:
     return worst
 
 
-def _floored_window(p: Profile, floor: float) -> np.ndarray:
-    """The nodes of p that the modulus search floored at floor needs.
-
-    The search stops at the first w = 2^k whose cut the range of p.values is
-    within, so it reaches lags below w only.  A pair left of the origin
-    mirrors one right of it, and a pair (-a, b) across it mirrors (-b, a);
-    each twin has the same lag and the same |difference| to the bit.  So
-    every pair the search must see has a twin that starts at most w/2 - 1
-    nodes left of the origin, and _holder_ratio of the window returns the
-    full line's value bit for bit.  At floor 0 the cut is 0: w of a
-    nonconstant p reaches 2^k >= n + 1, and the window is the whole line.
-    """
-    v, h = p.values, p.grid.spacing
-    span, w = float(np.ptp(v)), 1
-    while w < len(v) and span > _cut(floor, w, h):
-        w *= 2
-    return v[max(p.grid.center_index + 1 - w // 2, 0):]
-
-
 def _cone_report(p: Profile, ledger: ConstantsLedger, floor: float) -> ConeReport:
-    """The membership conditions, the modulus search floored at floor and
-    run on the floored window of p (the whole line when floor is 0)."""
-    g = p.grid
+    """The membership conditions, the modulus search floored at floor.
+
+    The search runs on u, the positive nodes, floored also at the symmetric
+    pairs' ratio r = max_a 2|u_a| / (2 a h)^(1/3), and returns the full
+    line's max(floor, ratio) bit for bit.  A pair left of the origin mirrors
+    one right of it, with the same lag and |difference| to the bit.  A pair
+    (0, a) has 2^(-2/3) times the ratio of (-a, a).  And a crossing pair
+    (-a, b) with a != b cannot beat r, by the cube root's concavity:
+    |u_a + u_b| <= max(r_a, r_b) ((2a)^(1/3) + (2b)^(1/3)) h^(1/3) / 2
+    <= max(r_a, r_b) ((a + b) h)^(1/3), with a relative margin of about
+    d^2 / 9 at d = |a - b| / (a + b) >= 1 / (2M), far above rounding.
+    """
+    u, h = p.u, p.grid.spacing
     sup_value = sup_norm(p)
-    worst = _holder_ratio(_floored_window(p, floor), g.spacing, floor)
-    margin = float(np.min(p.u - ledger.c2 * g.ramp))
+    lags = 2 * np.arange(1, len(u) + 1)
+    pairs = float(np.max(2.0 * np.abs(u) / (lags * h) ** (1.0 / 3.0)))
+    worst = _holder_ratio(u, h, max(floor, pairs))
+    margin = float(np.min(u - ledger.c2 * p.grid.ramp))
     margin = min(margin, p.tau - ledger.c2 * 0.5)
     return ConeReport(
         is_bounded=sup_value <= ledger.c0 + MEMBERSHIP_SLACK, sup_value=sup_value,
@@ -255,7 +243,8 @@ def _cone_report(p: Profile, ledger: ConstantsLedger, floor: float) -> ConeRepor
 def check_cone(p: Profile, ledger: ConstantsLedger) -> ConeReport:
     """Evaluate the cone-membership conditions on the grid nodes.
 
-    The modulus ratio is the exact maximum over all node pairs.  It need not
+    The modulus ratio is the exact maximum over all node pairs of the full
+    line, found from the positive nodes (see _cone_report).  It need not
     peak at short range: the sign start's worst pair is (-1.2, 1.2), and a
     profile can break the bound only between far-apart nodes.
     """
@@ -265,8 +254,7 @@ def check_cone(p: Profile, ledger: ConstantsLedger) -> ConeReport:
 def is_cone_member(p: Profile, ledger: ConstantsLedger) -> bool:
     """check_cone(p, ledger).member, with the modulus search floored at its
     bound: a ratio at or below c1 + MEMBERSHIP_SLACK passes either way, so
-    only node pairs that could break the bound are searched, and only on
-    the window of p that holds a twin of each (see _floored_window)."""
+    only node pairs that could break the bound are searched."""
     return _cone_report(p, ledger, ledger.c1 + MEMBERSHIP_SLACK).member
 
 

@@ -14,6 +14,7 @@ coarse-grid layout.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,14 +37,14 @@ class ScanConfig:
     cold_check: bool = False
 
     def __post_init__(self) -> None:
-        if not self.q_min >= 0.0:
-            raise ValueError("q_min must be >= 0")
-        if not self.q_max > self.q_min:
-            raise ValueError("q_max must exceed q_min")
+        if not 0.0 <= self.q_min < math.inf:
+            raise ValueError("q_min must be finite and >= 0")
+        if not self.q_min < self.q_max < math.inf:
+            raise ValueError("q_max must be finite and exceed q_min")
         if not self.coarse_steps >= 1:
             raise ValueError("coarse_steps must be >= 1")
-        if not self.bisect_tol > 0.0:
-            raise ValueError("bisect_tol must be positive")
+        if not 0.0 < self.bisect_tol < math.inf:
+            raise ValueError("bisect_tol must be finite and positive")
 
 
 @dataclass(frozen=True)

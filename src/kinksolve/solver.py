@@ -64,8 +64,8 @@ class SolveConfig:
             raise ValueError("q must be >= 0")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -440,6 +440,16 @@ def test_scan_out_with_csv_suffix_exits_1_before_solving(workdir, capsys, monkey
     assert list(workdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, field", [(["scan", "--q-max", "inf"], "q_max"),
+                                         (["solve", "--tol", "inf"], "tol")])
+def test_infinite_scan_bound_or_tolerance_exits_1(workdir, capsys, argv, field):
+    # an infinite q_max would put NaN into the coarse grid, and an infinite
+    # tol would pass any residual as converged
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be finite" in err
+
+
 def test_reproducible_outputs(workdir, ledger_file):
     assert main(["solve", "--q", "0.1", "--out", "a.csv",
                  "--ledger", str(ledger_file)]) == 0

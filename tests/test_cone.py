@@ -12,7 +12,7 @@ from kinksolve.cone import (
     MEMBERSHIP_SLACK,
     ConstantsLedger,
     LedgerInvariantError,
-    _floored_window,
+    _cone_report,
     _holder_ratio,
     c5_bound,
     check_cone,
@@ -387,20 +387,20 @@ def test_is_cone_member_agrees_with_check_cone(default_grid, ledger, kink_q0):
     assert 0 < len(verdicts) - members and members > 900
 
 
-def _window_extremal(grid, floor, lag_end):
-    # u_j = U min(j / a, 1)^(1/2) with a = lag_end / 2 - 1: the one worst
-    # pair is (-a h, a h), at lag lag_end - 2 across the origin, and the range
-    # 2U puts the floored search's first unreached lag at lag_end
-    a = lag_end // 2 - 1
-    top = 0.5 * floor * (lag_end * grid.spacing) ** (1.0 / 3.0) * (1.0 - 1e-9)
-    u = top * np.sqrt(np.minimum(np.arange(1, grid.center_index + 1) / a, 1.0))
-    return Profile(grid=grid, u=u, tau=top)
+def _symmetric_pairs_ratio(p):
+    # the pairs (-a h, a h) across the origin: 2 |u_a| / (2 a h)^(1/3)
+    lags = 2 * np.arange(1, p.grid.center_index + 1)
+    return float(np.max(2.0 * np.abs(p.u) / (lags * p.grid.spacing) ** (1.0 / 3.0)))
 
 
 @pytest.mark.parametrize("half_width, spacing",
                          [(20.0, 0.05), (40.0, 0.0125), (5.0, 0.05), (10.0, 0.1),
-                          (5.0, 0.5)])
-def test_floored_window_search_equals_the_full_line_search(ledger, half_width, spacing):
+                          (5.0, 0.5), (80.0, 0.01)])
+def test_half_line_search_equals_the_full_line_search(ledger, half_width, spacing):
+    # the cone searches the half line floored at the symmetric pairs' ratio;
+    # at every floor that must be the full line's search bit for bit, both
+    # where the worst pair is symmetric (the sign start's (-1.2, 1.2)) and
+    # where it lies on one side of the origin
     grid = GridSpec(half_width=half_width, spacing=spacing,
                     n_points=2 * round(half_width / spacing) + 1)
     m, bound = grid.center_index, ledger.c1 + MEMBERSHIP_SLACK
@@ -414,25 +414,21 @@ def test_floored_window_search_equals_the_full_line_search(ledger, half_width, s
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the sign start misses the cone
         profiles.append(initial_guess("sign", grid, ledger))
-    # the extremal profile needs the window's first node: one node less and
-    # the search misses its worst pair (and its only twin, itself)
-    extremal = _window_extremal(grid, bound, 16)
-    assert len(_floored_window(extremal, bound)) == m + 16 // 2
-    assert _holder_ratio(extremal.values[m - 7:], spacing, bound) > bound
-    assert _holder_ratio(extremal.values[m - 6:], spacing, bound) < _holder_ratio(
-        extremal.values, spacing, bound)
-    profiles.append(extremal)
-    cases = cut = failing = 0
+    # u = s x^(1/3): every symmetric pair ties at 2^(2/3) s up to rounding,
+    # and a crossing pair (-a, b), a != b, falls short only by the cube
+    # root's concavity margin
+    for s in bound / 2.0 ** (2.0 / 3.0) * np.array([1.0 - 1e-9, 1.0 + 1e-9]):
+        profiles.append(Profile(grid=grid, u=s * np.cbrt(grid.x_half),
+                                tau=s * np.cbrt(half_width)))
+    symmetric = one_sided = 0
     for p in profiles:
+        pairs = _symmetric_pairs_ratio(p)
         for floor in (0.0, 0.5 * bound, bound, 2.0 * bound):
-            window = _floored_window(p, floor)
-            if floor == 0.0:  # check_cone's search: the whole line
-                assert np.ptp(p.values) > 0.0 and len(window) == grid.n_points
             full = _holder_ratio(p.values, spacing, floor)
-            windowed = _holder_ratio(window, spacing, floor)
-            assert windowed == full, (floor, windowed, full)
-            assert (windowed <= bound) == (full <= bound)
-            cases += 1
-            cut += len(window) < len(p.values)
-            failing += full > floor
-    assert 0 < cut < cases and 0 < failing < cases
+            report = _cone_report(p, ledger, floor)
+            assert report.holder_ratio == full, (floor, report.holder_ratio, full)
+            assert report.is_holder == (full <= bound)
+            if full > floor:
+                symmetric += full == pairs
+                one_sided += full > pairs
+    assert symmetric > 0 and one_sided > 0

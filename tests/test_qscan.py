@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,11 @@ def test_scan_config_validation():
         ScanConfig(q_min=1.0, q_max=0.5)
     with pytest.raises(ValueError):
         ScanConfig(bisect_tol=0.0)
+    # non-finite bounds and tolerances, each named in the message
+    for field, value in [("q_min", math.inf), ("q_max", math.inf), ("q_max", math.nan),
+                         ("bisect_tol", math.inf), ("bisect_tol", math.nan)]:
+        with pytest.raises(ValueError, match=field):
+            ScanConfig(**{field: value})
 
 
 def test_scan_config_rejects_zero_coarse_steps():

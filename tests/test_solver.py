@@ -38,6 +38,9 @@ def test_solve_config_validation():
         SolveConfig(damping=1.5)
     with pytest.raises(ValueError):
         SolveConfig(tol=0.0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            SolveConfig(tol=tol)
 
 
 def test_solve_config_rejects_zero_max_iter():

@@ -169,7 +169,9 @@ def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0) -> ConstantsL
 
 
 def validate_ledger(ledger: ConstantsLedger) -> None:
-    """Re-check the inequalities the cone construction depends on."""
+    """Check that every constant is finite, then the inequalities the cone uses."""
+    if bad := [k for k, v in vars(ledger).items() if not math.isfinite(v)]:
+        raise LedgerInvariantError(f"non-finite constants: {', '.join(bad)}")
     if not math.isclose(ledger.c0, math.sqrt(ledger.b), rel_tol=1e-14):
         raise LedgerInvariantError("c0 != sqrt(b)")
     if not math.isclose(ledger.c1, ledger.c_hat * (ledger.c0 * ledger.e) ** (1 / 3),

@@ -2,28 +2,27 @@
 
 The operators work on the positive half-line, on the pair (u, tau) that a
 Profile holds: the values on the M positive nodes and the right tail.
-`build_operator(grid, weights, cfg)` precomputes everything that depends on
-the grid, the weights (a, b) of the kernel a K0 + b K1 and the configuration
-once and returns a callable mapping (u, tau) to the image on those nodes.
-The Profile-level `apply_tq` and `apply_pq` push a profile's (u, tau)
-through it and return the image as a profile, so oddness holds by
-construction and the discretization commutes with x -> -x bitwise (the cube
-root would amplify any stray asymmetry at the kink's zero crossing by
-|noise|^(-2/3)).
+`build_operator(grid, weights)` precomputes everything that depends on the
+grid and the weights (a, b) of the kernel a K0 + b K1 once and returns a
+callable mapping (u, tau) to the image on those nodes.  The Profile-level
+`apply_tq` and `apply_pq` push a profile's (u, tau) through it and return
+the image as a profile, so oddness holds by construction and the
+discretization commutes with x -> -x bitwise (the cube root would amplify
+any stray asymmetry at the kink's zero crossing by |noise|^(-2/3)).
 
-Two independent discretizations of the linear operator are provided:
+The linear operator has two independent discretizations:
 
 * quadrature -- trapezoidal convolution against the closed-form kernel on
   the truncated grid, with the mass beyond the truncation accounted for
   exactly through the kernel's cumulative integral and the profile tails;
+  the one `build_operator` builds and the nonlinear map iterates, composed
+  with the odd real branch of the cube root that sign-changing solutions
+  force;
 * spectral -- subtract a reference profile with the same tails whose image
   is known in closed form, push the rapidly decaying remainder through an
-  FFT multiplier, and add the reference image back.
-
-The nonlinear map, which `solve` iterates, composes the quadrature operator
-with the odd real branch of the cube root, the branch forced by
-sign-changing solutions.  The spectral operator cross-checks the linear one
-only: it leaves the cube-root cusp's O(h^(7/3)) error uncorrected.
+  FFT multiplier, and add the reference image back.  `apply_tq` with
+  OperatorConfig("spectral") applies it, as a cross-check of the linear
+  operator only: it leaves the cube-root cusp's O(h^(7/3)) error uncorrected.
 """
 
 from __future__ import annotations
@@ -61,11 +60,11 @@ _ZETA_M43 = float.fromhex("-0x1.482eb2bfe2ac2p-5")
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """How to apply the linear operators.
-
-    kernel_window is the constant convolution cutoff |x - y| <= 12 of the
-    quadrature path.  The neglected kernel mass there is below 1e-16; a
-    window >= 8 would keep it under 1e-8.
+    """Which discretization `apply_tq` applies: quadrature, or the spectral
+    cross-check.  The benchmark's tracer also reads `method` and
+    kernel_window, the quadrature's constant convolution cutoff |x - y| <= 12,
+    whose neglected kernel mass is below 1e-16 (a window >= 8 keeps it
+    under 1e-8).
     """
 
     method: str = "quadrature"
@@ -236,30 +235,30 @@ class _Spectral:
 
 
 @lru_cache(maxsize=8)
-def build_operator(grid: GridSpec, weights: tuple[float, float],
-                   cfg: OperatorConfig = OperatorConfig()):
-    """a K0 + b K1 on odd profiles, built once per (grid, weights, cfg).
+def build_operator(grid: GridSpec, weights: tuple[float, float]) -> _Quadrature:
+    """The quadrature a K0 + b K1 on odd profiles, built once per (grid, weights).
 
     Calling the result with the values u on the positive nodes and the
-    right tail tau returns the image on those nodes.  The quadrature's
-    `workspace()`, passed as a third argument, lets repeated calls reuse
-    their FFT arrays; the image is then a view into it, valid until the
-    next call with it.  The kernel row is the combined a K0 + b K1, so an
-    application costs one spectrum product whatever the weights.  Recent
-    builds are memoised, keyed on the arguments as passed (so callers pass
-    cfg positionally), and shared, so callers only read them.
+    right tail tau returns the image on those nodes.  Its `workspace()`,
+    passed as a third argument, lets repeated calls reuse their FFT arrays;
+    the image is then a view into it, valid until the next call with it.
+    The kernel row is the combined a K0 + b K1, so an application costs one
+    spectrum product whatever the weights.  Recent builds are memoised and
+    shared, so callers only read them.
     """
-    if cfg.method == "spectral":
-        return _Spectral(grid, weights)
     return _Quadrature(grid, weights)
+
+
+_spectral = lru_cache(maxsize=8)(_Spectral)
 
 
 def apply_tq(p: Profile, family: KernelFamily,
              cfg: OperatorConfig = OperatorConfig()) -> Profile:
     """Apply the combined linear operator (Gaussian + q^2 curvature) to an
-    odd profile.  The kernel's mass is 1, so the tail tau maps to tau; at
-    q = 0 this is the Gaussian smoothing T0."""
-    image = build_operator(p.grid, family.weights, cfg)(p.u, p.tau)
+    odd profile, discretized as cfg selects.  The kernel's mass is 1, so the
+    tail tau maps to tau; at q = 0 this is the Gaussian smoothing T0."""
+    build = _spectral if cfg.method == "spectral" else build_operator
+    image = build(p.grid, family.weights)(p.u, p.tau)
     return Profile(grid=p.grid, u=image, tau=p.tau)
 
 
@@ -270,5 +269,5 @@ def apply_pq(p: Profile, family: KernelFamily) -> Profile:
     Constant tails +-c map to +-c^(1/3) because the Gaussian part preserves
     constants and the curvature part annihilates them at infinity.
     """
-    image = build_operator(p.grid, family.weights, OperatorConfig())(p.u, p.tau)
+    image = build_operator(p.grid, family.weights)(p.u, p.tau)
     return Profile(grid=p.grid, u=np.cbrt(image), tau=float(np.cbrt(p.tau)))

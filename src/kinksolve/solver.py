@@ -35,7 +35,7 @@ from .grid import (
     profile_to_json_dict,
 )
 from .kernels import KernelFamily
-from .operators import OperatorConfig, build_operator
+from .operators import build_operator
 
 #: Half-width of the linear ramp used by the piecewise-sign initial guess.
 #: One grid cell is far too steep for the cone's modulus constant (a ramp of
@@ -164,8 +164,7 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     _check_grid(initial, grid)
     u, tau = initial.u.copy(), initial.tau  # the loop updates u in place
     scratch = np.empty_like(u)
-    # cfg positional: the cache entry apply_tq and apply_pq use
-    op = build_operator(grid, KernelFamily(cfg_solve.q).weights, OperatorConfig())
+    op = build_operator(grid, KernelFamily(cfg_solve.q).weights)
     work = op.workspace()
 
     omega = cfg_solve.damping

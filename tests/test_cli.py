@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import platform
 import subprocess
@@ -239,6 +240,9 @@ def test_solve_restart_csv_off_grid_exits_1(workdir, capsys, nodes, message):
      "barrier exceeds the ramp's saturation bound"),
     ({"q0": lambda d: 1.0}, "admissible deformation bound q0 is too large"),
     ({"q0": lambda d: -0.1}, "q0 must be strictly positive"),
+    # inf is close to inf, and the closing inequality holds at c3 = inf
+    ({k: lambda d: math.inf for k in ("b", "c0", "c1")}, "non-finite constants: b, c0, c1"),
+    ({"c3": lambda d: math.inf, "q0": lambda d: 100.0}, "non-finite constants: c3"),
 ])
 def test_solve_with_a_loaded_ledger_that_breaks_an_invariant_exits_3(
         workdir, capsys, ledger_file, edit, message):
@@ -298,6 +302,13 @@ def test_constants_q_max_with_underflowing_square(workdir, q_max):
 def test_constants_q_max_with_overflowing_square_exits_1(workdir, capsys, q_max):
     assert main(["constants", "--q-max", q_max]) == 1
     assert "q = " in capsys.readouterr().err
+
+
+def test_constants_with_an_overflowing_c1_exits_3_and_writes_nothing(workdir, capsys):
+    # c0 e overflows inside c1 = c_hat (c0 e)^(1/3) at q_max = 1e103
+    assert main(["constants", "--q-max", "1e103", "--out", "const.json"]) == 3
+    assert capsys.readouterr().err == "ledger invariant violated: non-finite constants: c1\n"
+    assert list(workdir.iterdir()) == []
 
 
 def test_constants_invariant_failure_exits_3(workdir, monkeypatch):

@@ -251,6 +251,13 @@ def test_constants_rejects_nonpositive_q_range(default_grid, q_max):
         compute_constants(default_grid, q_range_max=q_max)
 
 
+def test_constants_reject_a_non_finite_c1(default_grid):
+    # every field is finite at q_max = 1e102; at 1e103 c0 e overflows in c1
+    compute_constants(default_grid, q_range_max=1e102)
+    with pytest.raises(LedgerInvariantError, match="non-finite constants: c1$"):
+        compute_constants(default_grid, q_range_max=1e103)
+
+
 def _all_pairs_ratio(v, h):
     # O(n^2) oracle: the largest |v_j - v_i| at each lag over its distance^(1/3)
     best = 0.0

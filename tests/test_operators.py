@@ -14,6 +14,7 @@ from kinksolve.operators import (
     OperatorConfig,
     _Quadrature,
     _smooth_length,
+    _Spectral,
     apply_pq,
     apply_tq,
     build_operator,
@@ -138,8 +139,7 @@ def test_t1_quadrature_vs_spectral(default_grid):
         sample(lambda x: np.tanh(x) + 0.1 * x * np.exp(-x * x), grid, 1.0),
         odd_ramp(grid),
     ]
-    quadrature, spectral = (build_operator(grid, K1_WEIGHTS, OperatorConfig(m))
-                            for m in ("quadrature", "spectral"))
+    quadrature, spectral = build_operator(grid, K1_WEIGHTS), _Spectral(grid, K1_WEIGHTS)
     for p in profiles:
         assert np.max(np.abs(quadrature(p.u, p.tau) - spectral(p.u, p.tau))) <= 1e-8
 
@@ -251,11 +251,11 @@ def test_pq_preserves_oddness_exactly(default_grid):
 def test_half_line_operator_is_positive_half_of_tq(default_grid, method):
     c = default_grid.center_index
     p = sample(lambda x: np.cbrt(np.tanh(x)), default_grid, 1.0)
+    build = _Spectral if method == "spectral" else build_operator
     for q in (0.0, 0.5):
-        cfg = OperatorConfig(method)
-        op = build_operator(default_grid, KernelFamily(q).weights, cfg)
-        half = op(p.values[c + 1:], p.tau)
-        assert np.array_equal(half, apply_tq(p, KernelFamily(q), cfg).values[c + 1:])
+        half = build(default_grid, KernelFamily(q).weights)(p.values[c + 1:], p.tau)
+        image = apply_tq(p, KernelFamily(q), OperatorConfig(method))
+        assert np.array_equal(half, image.values[c + 1:])
     if method == "quadrature":
         half = build_operator(default_grid, K1_WEIGHTS)(p.values[c + 1:], p.tau)
         assert np.array_equal(half, apply_k1(p).values[c + 1:])
@@ -263,16 +263,20 @@ def test_half_line_operator_is_positive_half_of_tq(default_grid, method):
 
 @pytest.mark.parametrize("method", ["quadrature", "spectral"])
 def test_memoised_operator_images_match_fresh_build(default_grid, method):
-    # build_operator keeps recent operators; the uncached build is the oracle
+    # apply_tq keeps recent operators of either method; the uncached build
+    # is the oracle
     p = sample(lambda x: np.cbrt(np.tanh(x)) + 0.1 * x * np.exp(-x * x), default_grid,
                1.0)
     c = default_grid.center_index
     cfg = OperatorConfig(method)
     for q in (0.0, 0.2):
         family = KernelFamily(q)
-        assert build_operator(default_grid, family.weights, cfg) is build_operator(
-            default_grid, family.weights, cfg)
-        fresh = build_operator.__wrapped__(default_grid, family.weights, cfg)
+        if method == "spectral":
+            fresh = _Spectral(default_grid, family.weights)
+        else:
+            assert build_operator(default_grid, family.weights) is build_operator(
+                default_grid, family.weights)
+            fresh = build_operator.__wrapped__(default_grid, family.weights)
         for _ in range(2):
             assert np.array_equal(apply_tq(p, family, cfg).values[c + 1:],
                                   fresh(p.u, p.tau))
@@ -324,7 +328,7 @@ def test_quadrature_spectrum_matches_direct_convolution(half_width, spacing, wei
 @pytest.mark.parametrize("q", [0.0, 1.3])
 def test_operator_with_a_workspace_equals_an_allocating_call(half_width, spacing, method, q):
     grid = make_grid(half_width, spacing)
-    op = build_operator(grid, KernelFamily(q).weights, OperatorConfig(method))
+    op = build_operator(grid, KernelFamily(q).weights)
     work = op.workspace()
     for array in work:
         array.fill(np.nan)  # every entry a call reads must be written first

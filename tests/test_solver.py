@@ -20,7 +20,14 @@ from kinksolve.grid import (
 )
 from kinksolve import kernels
 from kinksolve.kernels import KernelFamily
-from kinksolve.operators import apply_pq, apply_tq, build_operator, psi
+from kinksolve.operators import (
+    OperatorConfig,
+    _spectral,
+    apply_pq,
+    apply_tq,
+    build_operator,
+    psi,
+)
 from kinksolve.solver import (
     SolveConfig,
     decay_ratio,
@@ -475,15 +482,20 @@ def test_solve_matches_full_line_picard(default_grid, ledger, method, q_of):
 
 
 def test_solve_apply_tq_and_apply_pq_share_one_operator_build(default_grid, ledger):
-    # the cache keys the arguments as passed, so an omitted cfg and a
-    # positional OperatorConfig() would be two entries of one operator
+    # one quadrature build per (grid, weights) whoever asks for it, and the
+    # spectral cross-check memoised on its own
     family = KernelFamily(0.3)
     p = initial_guess("erf", default_grid, ledger)
     build_operator.cache_clear()
+    _spectral.cache_clear()
     solve(SolveConfig(q=family.q), default_grid, ledger)
     apply_tq(p, family)
     apply_pq(p, family)
+    build_operator(default_grid, family.weights)
+    for _ in range(2):
+        apply_tq(p, family, OperatorConfig("spectral"))
     assert build_operator.cache_info().misses == 1
+    assert _spectral.cache_info().misses == 1
 
 
 def _half_line_picard(cfg, grid, ledger, initial):

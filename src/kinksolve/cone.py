@@ -231,8 +231,7 @@ def _cone_report(p: Profile, ledger: ConstantsLedger, floor: float) -> ConeRepor
     """
     u, h = p.u, p.grid.spacing
     sup_value = sup_norm(p)
-    lags = 2 * np.arange(1, len(u) + 1)
-    pairs = float(np.max(2.0 * np.abs(u) / (lags * h) ** (1.0 / 3.0)))
+    pairs = float(np.max(2.0 * np.abs(u) / p.grid.pair_scale))
     worst = _holder_ratio(u, h, max(floor, pairs))
     margin = float(np.min(u - ledger.c2 * p.grid.ramp))
     margin = min(margin, p.tau - ledger.c2 * 0.5)

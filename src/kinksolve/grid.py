@@ -56,6 +56,13 @@ class GridSpec:
         ramp.flags.writeable = False
         return ramp
 
+    @cached_property
+    def pair_scale(self) -> np.ndarray:
+        """(2 a h)^(1/3), the symmetric pairs' lag scale, for a = 1..M, read-only."""
+        scale = (2 * np.arange(1, self.center_index + 1) * self.spacing) ** (1.0 / 3.0)
+        scale.flags.writeable = False
+        return scale
+
 
 def make_grid(half_width: float, spacing: float) -> GridSpec:
     """Build a GridSpec, rejecting non-commensurate or out-of-range parameters.

@@ -4,11 +4,12 @@ The operators work on the positive half-line, on the pair (u, tau) that a
 Profile holds: the values on the M positive nodes and the right tail.
 `build_operator(grid, weights)` precomputes everything that depends on the
 grid and the weights (a, b) of the kernel a K0 + b K1 once and returns a
-callable mapping (u, tau) to the image on those nodes.  The Profile-level
-`apply_tq` and `apply_pq` push a profile's (u, tau) through it and return
-the image as a profile, so oddness holds by construction and the
-discretization commutes with x -> -x bitwise (the cube root would amplify
-any stray asymmetry at the kink's zero crossing by |noise|^(-2/3)).
+callable mapping (u, tau) to the image on those nodes, in a `workspace()`.
+The Profile-level `apply_tq` and `apply_pq` push a profile's (u, tau)
+through it and return the image as a profile, so oddness holds by
+construction and the discretization commutes with x -> -x bitwise (the cube
+root would amplify any stray asymmetry at the kink's zero crossing by
+|noise|^(-2/3)).
 
 The linear operator has two independent discretizations:
 
@@ -117,14 +118,11 @@ class _Quadrature:
     'valid' convolution of that extension with the kernel row, started at
     node 1 - m, yields exactly the wanted outputs.  It is taken as a
     product of spectra: the spectrum of h * row is computed once, at the
-    least 5-smooth length N >= M + 2m, the extension's length.  Each
-    application writes the extension once, by slices, into an FFT input of
-    length N, zero-padded, and costs one rfft/irfft pair, with the spectra
-    multiplied in place and the output written back over the input.  The
-    input and the spectrum come from `workspace()`: a caller that applies
-    the operator many times (`solve`) keeps one workspace for the run, and
-    a call without one allocates its own.  The operator holds no mutable
-    state, so a memoised build can be shared.  The linear convolution of
+    least 5-smooth length N >= M + 2m, the extension's length.  An
+    application costs one rfft/irfft pair of the extension, held in a
+    zero-padded FFT input of length N in a `workspace()` (see _Workspace),
+    a fresh one unless passed.  The operator holds no mutable state, so a
+    memoised build can be shared.  The linear convolution of
     the extension with the row (length 2m + 1) ends at index M + 4m - 1, so
     the circular one of length N folds only its indices N and above back,
     onto indices below M + 4m - N <= 2m: the outputs 2m .. 2m + M - 1 it
@@ -162,8 +160,8 @@ class _Quadrature:
     def __init__(self, grid: GridSpec, weights: tuple[float, float]) -> None:
         h = grid.spacing
         m = int(round(OperatorConfig.kernel_window / h))
-        self.m = m
-        self.n_fft = _smooth_length(grid.center_index + 2 * m)
+        self.m, self.size = m, grid.center_index
+        self.n_fft = _smooth_length(self.size + 2 * m)
         row = eval_kernel(np.arange(-m, m + 1) * h, weights)
         self.spectrum = np.fft.rfft(h * row, self.n_fft)
         self.odd_remainder = (weights[0] - kernel_cumulative(m * h, weights)
@@ -172,34 +170,51 @@ class _Quadrature:
         self.cusp = (2.0 * _ZETA_M43 * h * h / c) * eval_kernel_derivative(
             grid.x_half, weights)
 
-    def workspace(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh arrays for one caller's applications: the FFT input, which
-        also takes the output, and the spectrum."""
-        n = self.n_fft
-        return np.empty(n), np.empty(n // 2 + 1, dtype=complex)
+    def workspace(self) -> _Workspace:
+        """Fresh arrays for one caller's applications."""
+        return _Workspace(self.n_fft, self.m, self.size)
 
     def __call__(self, u: np.ndarray, tau: float,
-                 work: tuple | None = None) -> np.ndarray:
-        """Image on the positive nodes of the odd profile (u, tau), a view
-        of the workspace `work` when one is given."""
-        n, m, size = self.n_fft, self.m, len(u)
-        ext, spectrum = self.workspace() if work is None else work
-        # from node 1 - m: -tau beyond -L, the mirrored -u, 0, u, tau, then
-        # zeros; every entry is written, as the last call's output fills ext
-        beyond = max(m - 1 - size, 0)
-        ext[:beyond] = -tau
-        np.negative(u[m - 2 - beyond::-1], out=ext[beyond:m - 1])
-        ext[m - 1] = 0.0
-        ext[m:m + size] = u
-        ext[m + size:2 * m + size] = tau
-        ext[2 * m + size:] = 0.0
-        np.fft.rfft(ext, out=spectrum)
-        spectrum *= self.spectrum
-        out = np.fft.irfft(spectrum, n, out=ext)[2 * m:2 * m + size]
-        u1, u2, u3 = u[:3].tolist()
-        out += tau * self.odd_remainder
-        out += (5.0 * u1 - 4.0 * u2 + u3) * self.cusp
-        return out
+                 work: _Workspace | None = None) -> np.ndarray:
+        """Image on the positive nodes of the odd profile (u, tau): work.image,
+        valid until the next call with the workspace `work`."""
+        n, m, size = self.n_fft, self.m, self.size
+        work = self.workspace() if work is None else work
+        ext = work.ext  # from node 1 - m: -tau beyond -L, the mirror, 0, u, tau, zeros
+        if u is not work.u:
+            work.u[...] = u
+        if tau != work.tau:
+            ext[:max(m - 1 - size, 0)] = -tau
+            ext[m - 1] = 0.0
+            ext[m + size:2 * m + size] = tau
+            ext[2 * m + size:] = 0.0
+            work.tau = tau
+        np.negative(work.mirrored, out=work.mirror)
+        np.fft.rfft(ext, out=work.spectrum)
+        work.spectrum *= self.spectrum
+        np.fft.irfft(work.spectrum, n, out=work.out)
+        u1, u2, u3 = work.u[:3].tolist()
+        work.image += tau * self.odd_remainder
+        work.image += np.multiply(self.cusp, 5.0 * u1 - 4.0 * u2 + u3, out=work.cusp_term)
+        return work.image
+
+
+class _Workspace:
+    """One caller's arrays for a _Quadrature; the FFT input `ext` persists, as
+    the irfft writes `out`, whose kept outputs are `image`.  A call negates the
+    u slot `u` into its mirror, copies u in unless it is that view, and writes
+    the -tau and tau blocks, origin and padding only when tau is not `tau`."""
+
+    def __init__(self, n: int, m: int, size: int) -> None:
+        self.ext, self.out, self.cusp_term = np.empty(n), np.empty(n), np.empty(size)
+        self.spectrum = np.empty(n // 2 + 1, dtype=complex)
+        self.u, self.image = self.ext[m:m + size], self.out[2 * m:2 * m + size]
+        self.mirrored = self.u[min(m - 1, size) - 1::-1]
+        self.mirror, self.tau = self.ext[m - 1 - len(self.mirrored):m - 1], math.nan
+
+    def __iter__(self):
+        """The arrays; a caller that writes ext itself sets tau to NaN."""
+        return iter((self.ext, self.spectrum, self.out, self.cusp_term))
 
 
 class _Spectral:
@@ -239,9 +254,9 @@ def build_operator(grid: GridSpec, weights: tuple[float, float]) -> _Quadrature:
     """The quadrature a K0 + b K1 on odd profiles, built once per (grid, weights).
 
     Calling the result with the values u on the positive nodes and the
-    right tail tau returns the image on those nodes.  Its `workspace()`,
-    passed as a third argument, lets repeated calls reuse their FFT arrays;
-    the image is then a view into it, valid until the next call with it.
+    right tail tau returns the image on those nodes, a view into the
+    workspace valid until its next call.  Its `workspace()`, passed as a
+    third argument, lets repeated calls reuse their FFT arrays.
     The kernel row is the combined a K0 + b K1, so an application costs one
     spectrum product whatever the weights.  Recent builds are memoised and
     shared, so callers only read them.

@@ -1,14 +1,14 @@
 """Damped fixed-point iteration for the cube-root map, with diagnostics.
 
 Fixed points of the map solve the integral equation.  The invariant-cone
-argument lives entirely in odd functions, and so does a Profile: the
-iterate is a copy of the start's values u on the positive nodes plus its
-right tail tau, pushed through the half-line operator built once per solve,
-and a Profile is built again only at exit.  The iterate is updated in
-place; the residual uses one scratch array per solve, and the operator's
-FFT arrays are one workspace per solve.  Cone membership is judged at both
-ends of a solve; the erf start's verdict depends only on the grid and the
-ledger, so it is computed once per (grid, ledger) in a process.
+argument lives entirely in odd functions, and so does a Profile: the iterate
+is the start's values u on the positive nodes, updated in place in the u
+slot of the solve's one operator workspace (a step writes only the mirror -u
+into the FFT input), and its right tail tau, whose cube root is taken again
+only when tau moves.  A copy of u makes the Profile at exit; the residual
+uses one scratch array per solve.  Cone membership is judged at both ends of
+a solve; the erf start's verdict depends only on the grid and the ledger, so
+it is computed once per (grid, ledger) in a process.
 
 Convergence is declared on the map residual sup |image - iterate|, never on
 the damped step size, so damping cannot mask stagnation.  Non-convergence
@@ -162,23 +162,24 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     if initial is None:
         initial = initial_guess("erf", grid, ledger)
     _check_grid(initial, grid)
-    u, tau = initial.u.copy(), initial.tau  # the loop updates u in place
-    scratch = np.empty_like(u)
     op = build_operator(grid, KernelFamily(cfg_solve.q).weights)
     work = op.workspace()
+    u, tau, scratch = work.u, initial.tau, np.empty_like(initial.u)
+    u[...] = initial.u  # the iterate lives in the FFT input
 
     omega = cfg_solve.damping
     trace: list[float] = []
     events: list[dict] = []
     residual = math.inf
     converged = False
-    growth_streak = 0
+    growth_streak, cbrt_of = 0, math.nan  # image_tau is cbrt(cbrt_of)
     for _ in range(cfg_solve.max_iter):
-        image = op(u, tau, work)  # may view work: used up before the next call
+        image = op(u, tau, work)  # views work: used up before the next call
         np.cbrt(image, out=image)
-        image_tau = float(np.cbrt(tau))
+        if tau != cbrt_of:
+            cbrt_of, image_tau = tau, float(np.cbrt(tau))
         np.abs(np.subtract(image, u, out=scratch), out=scratch)
-        residual = max(float(scratch.max()), abs(image_tau - tau))
+        residual = max(float(np.maximum.reduce(scratch)), abs(image_tau - tau))
         if not math.isfinite(residual):
             raise ValueError("profile values must be finite")
         trace.append(residual)
@@ -194,12 +195,15 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
                                "omega": omega})
         else:
             growth_streak = 0
-        u *= 1.0 - omega
-        image *= omega
-        u += image
+        if omega == 1.0:  # 0 u + image, but for the sign of an exact zero
+            np.copyto(u, image)
+        else:
+            u *= 1.0 - omega
+            image *= omega
+            u += image
         tau = (1.0 - omega) * tau + omega * image_tau
 
-    p = Profile(grid=grid, u=u, tau=tau)
+    p = Profile(grid=grid, u=u.copy(), tau=tau)
     return SolveReport(
         converged=converged,
         iterations=len(trace),

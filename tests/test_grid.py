@@ -69,6 +69,19 @@ def test_grid_ramp_is_cached_read_only_half_erf():
         ramp[0] = 1.0
 
 
+@pytest.mark.parametrize("half_width, spacing", [(20.0, 0.05), (40.0, 0.0125), (5.201, 0.007)])
+def test_grid_pair_scale_is_cached_read_only_inline_formula(half_width, spacing):
+    # bit for bit the scale the cone's symmetric-pair ratio once computed inline
+    g = make_grid(half_width, spacing)
+    scale = g.pair_scale
+    lags = 2 * np.arange(1, g.center_index + 1)
+    assert scale.tobytes() == ((lags * g.spacing) ** (1.0 / 3.0)).tobytes()
+    assert g.pair_scale is scale
+    assert not scale.flags.writeable
+    with pytest.raises(ValueError):
+        scale[0] = 1.0
+
+
 def test_sample_ramp_stays_below_half():
     # strictly below 1/2 wherever that is representable (the ramp saturates
     # to 0.5 in double precision beyond |x| ~ 5.9)

@@ -9,7 +9,7 @@ from scipy.special import erf
 
 import kinksolve.cone as cone_module
 import kinksolve.solver as solver_module
-from kinksolve.cone import c5_bound, check_cone
+from kinksolve.cone import c5_bound, check_cone, random_cone_members
 from kinksolve.grid import (
     Profile,
     make_grid,
@@ -543,6 +543,65 @@ def test_solve_matches_half_line_picard_bitwise(ledger, spec, q, omega):
     assert rep.residual_trace == trace
     assert rep.solution.values.tobytes() == expected.values.tobytes()
     assert rep.solution.tau == expected.tau
+
+
+# from tau erf, cbrt and the mix move tau towards +-1 at every step, so each
+# application rewrites the workspace's tau blocks and each step takes the
+# cube root of a new tau; on (5, 0.05) the window reaches beyond -L, so the
+# extension has a -tau block
+@pytest.mark.parametrize("spec", [(20.0, 0.05), (5.0, 0.05)])
+@pytest.mark.parametrize("tau, omega", [(0.6, 1.0), (0.6, 0.5), (-0.8, 1.0), (1.7, 0.3)])
+def test_solve_with_a_moving_tail_matches_half_line_picard_bitwise(ledger, spec, tau,
+                                                                   omega):
+    grid = make_grid(*spec)
+    cfg = SolveConfig(q=0.0, damping=omega, max_iter=600)
+    start = Profile(grid=grid, u=tau * (2.0 * grid.ramp), tau=tau)
+    expected, trace = _half_line_picard(cfg, grid, ledger, start)
+    rep = solve(cfg, grid, ledger, initial=start)
+    assert rep.solution.tau != tau
+    assert rep.residual_trace == trace
+    assert rep.solution.values.tobytes() == expected.values.tobytes()
+    assert rep.solution.tau == expected.tau
+    assert rep.solution.u.flags.owndata  # a copy out of the solve's workspace
+
+
+def _thompson(p, r):
+    """Thompson's part metric between odd profiles positive on x > 0:
+    max(sup |log u - log v| over the positive nodes, |log tau_u - log tau_v|)."""
+    return max(float(np.max(np.abs(np.log(p.u) - np.log(r.u)))),
+               abs(math.log(p.tau) - math.log(r.tau)))
+
+
+# while q < 0.168 the half-line kernel is positive on the window, so the
+# map is order-preserving and homogeneous of degree 1/3 on profiles
+# positive on x > 0, hence 1/3-Lipschitz in Thompson's metric; the sampled
+# maxima are 0.3197 (q = 0) and 0.3198 (q0/2)
+@pytest.mark.parametrize("q_of", [lambda q0: 0.0, lambda q0: q0 / 2.0], ids=["0", "q0/2"])
+def test_map_contracts_at_one_third_in_thompsons_metric(default_grid, ledger, q_of):
+    family = KernelFamily(q_of(ledger.q0))
+    members = random_cone_members(40, default_grid, ledger, seed=3)
+    kink = solve(SolveConfig(q=family.q), default_grid, ledger).solution
+    pairs = [*zip(members[::2], members[1::2]), (members[0], kink)]
+    ratios = [_thompson(apply_pq(u, family), apply_pq(v, family)) / _thompson(u, v)
+              for u, v in pairs]
+    assert max(ratios) <= 1.0 / 3.0 + 1e-12
+
+
+# at rate 1/3, d_T(u_k, u*) <= d_T(u_k, u_(k+1)) / (1 - 1/3)
+# <= (1/3) d_T(u_(k-1), u_k) / (2/3): half the last step bounds the error
+@pytest.mark.parametrize("q_of", [lambda q0: 0.0, lambda q0: q0 / 2.0], ids=["0", "q0/2"])
+def test_half_the_last_step_bounds_the_distance_to_the_fixed_point(default_grid, ledger,
+                                                                   q_of):
+    q = q_of(ledger.q0)
+    cold = solve(SolveConfig(q=q), default_grid, ledger)
+    fixed = solve(SolveConfig(q=q, tol=1e-300, max_iter=80), default_grid, ledger).solution
+    # the iterate after k steps: a cold solve's first k mixes
+    iterates = [initial_guess("erf", default_grid, ledger)] + [
+        solve(SolveConfig(q=q, max_iter=k), default_grid, ledger).solution
+        for k in range(1, cold.iterations)]
+    assert iterates[-1].values.tobytes() == cold.solution.values.tobytes()
+    for previous, current in zip(iterates, iterates[1:]):
+        assert 0.5 * _thompson(current, previous) >= _thompson(current, fixed)
 
 
 def test_solve_leaves_its_start_unchanged(default_grid, ledger):

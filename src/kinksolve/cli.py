@@ -171,15 +171,15 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
     checks: list[tuple[str, float, float, bool]] = []
 
     ramp = sample(psi, grid, 0.5)
-    smoothed = apply_tq(ramp, KernelFamily(0.0)).values
-    oracle_err = float(np.max(np.abs(smoothed - t0_psi_analytic(grid.x))))
+    smoothed = apply_tq(ramp, KernelFamily(0.0)).u
+    oracle_err = float(np.max(np.abs(smoothed - t0_psi_analytic(grid.x_half))))
     checks.append(("analytic smoothing oracle", oracle_err, 1e-8, oracle_err <= 1e-8))
 
     family = KernelFamily(args.q)
     worst = 0.0
     for f, tr in [(erf, 1.0), (np.tanh, 1.0), (psi, 0.5)]:
         p = sample(f, grid, tr)
-        worst = max(worst, sup_distance(apply_tq(p, family, OperatorConfig("quadrature")),
+        worst = max(worst, sup_distance(apply_tq(p, family),
                                         apply_tq(p, family, OperatorConfig("spectral"))))
     checks.append(("quadrature vs spectral", worst, 1e-8, worst <= 1e-8))
 

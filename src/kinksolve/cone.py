@@ -17,10 +17,11 @@ Constant roles:
     c3     half the infimum over x > 0 of the smoothed-ramp ratio
            erf(x/sqrt5)/erf(x); the infimum sits at x -> 0+ where the
            ratio tends to 1/sqrt(5) (the ratio is monotone increasing)
-    c4     smallest constant bounding the curvature image against the ramp
+    c4     bound on the curvature image against the ramp: the larger of two
+           crude bounds, 2.7486 at the default ledger, where 1.0649 suffices
     ell    lower bound for ramp^(1/3) / ramp, equal to 2^(2/3)
     c2     ramp scale of the cone's lower barrier
-    q0     admissible deformation bound, c4 q0^2 < c3 c2 with margin
+    q0     admissible deformation bound, c4 q0^2 < c3 c2 with margin, <= q_max
     c5     contraction factor of the cube root on [d, inf), c5_bound(d);
            the JSON ledger tabulates it over d = 0.05, 0.10, ..., 0.95
 
@@ -160,7 +161,7 @@ def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0) -> ConstantsL
         raise LedgerInvariantError("ramp cube-root lower bound fails on the grid")
 
     c2 = math.sqrt(c3 * ell**3) * (1.0 - _C2_SHAVE)
-    q0 = 0.99 * math.sqrt(c3 * c2 / c4)
+    q0 = min(0.99 * math.sqrt(c3 * c2 / c4), q_range_max)
 
     ledger = ConstantsLedger(b=b, c0=c0, e=e, c_hat=c_hat, c1=c1, c3=c3, c4=c4,
                              ell=ell, c2=c2, q0=q0)
@@ -169,9 +170,13 @@ def compute_constants(grid: GridSpec, *, q_range_max: float = 1.0) -> ConstantsL
 
 
 def validate_ledger(ledger: ConstantsLedger) -> None:
-    """Check that every constant is finite, then the inequalities the cone uses."""
+    """Check that every constant is finite and positive, then the cone's inequalities."""
     if bad := [k for k, v in vars(ledger).items() if not math.isfinite(v)]:
         raise LedgerInvariantError(f"non-finite constants: {', '.join(bad)}")
+    if not ledger.q0 > 0.0:
+        raise LedgerInvariantError("q0 must be strictly positive")
+    if bad := [k for k, v in vars(ledger).items() if not v > 0.0]:
+        raise LedgerInvariantError(f"non-positive constants: {', '.join(bad)}")
     if not math.isclose(ledger.c0, math.sqrt(ledger.b), rel_tol=1e-14):
         raise LedgerInvariantError("c0 != sqrt(b)")
     if not math.isclose(ledger.c1, ledger.c_hat * (ledger.c0 * ledger.e) ** (1 / 3),
@@ -183,8 +188,6 @@ def validate_ledger(ledger: ConstantsLedger) -> None:
         raise LedgerInvariantError("barrier exceeds the ramp's saturation bound")
     if not ledger.c4 * ledger.q0**2 < ledger.c3 * ledger.c2:
         raise LedgerInvariantError("admissible deformation bound q0 is too large")
-    if not ledger.q0 > 0.0:
-        raise LedgerInvariantError("q0 must be strictly positive")
 
 
 def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:

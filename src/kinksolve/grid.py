@@ -77,6 +77,8 @@ def make_grid(half_width: float, spacing: float) -> GridSpec:
     if not 0.0 < spacing <= 0.5:
         raise ValueError(f"spacing must be in (0, 0.5], got {spacing}")
     ratio = half_width / spacing
+    if not math.isfinite(ratio):
+        raise ValueError(f"half_width/spacing = {half_width!r}/{spacing!r} overflows")
     m = round(ratio)
     if abs(ratio - m) > 1e-9:
         raise ValueError(

@@ -4,7 +4,7 @@ The operators work on the positive half-line, on the pair (u, tau) that a
 Profile holds: the values on the M positive nodes and the right tail.
 `build_operator(grid, weights)` precomputes everything that depends on the
 grid and the weights (a, b) of the kernel a K0 + b K1 once and returns a
-callable mapping (u, tau) to the image on those nodes, in a `workspace()`.
+callable mapping (u, tau) to the image on those nodes (see _Workspace).
 The Profile-level `apply_tq` and `apply_pq` push a profile's (u, tau)
 through it and return the image as a profile, so oddness holds by
 construction and the discretization commutes with x -> -x bitwise (the cube
@@ -119,16 +119,14 @@ class _Quadrature:
     node 1 - m, yields exactly the wanted outputs.  It is taken as a
     product of spectra: the spectrum of h * row is computed once, at the
     least 5-smooth length N >= M + 2m, the extension's length.  An
-    application costs one rfft/irfft pair of the extension, held in a
-    zero-padded FFT input of length N in a `workspace()` (see _Workspace),
-    a fresh one unless passed.  The operator holds no mutable state, so a
-    memoised build can be shared.  The linear convolution of
-    the extension with the row (length 2m + 1) ends at index M + 4m - 1, so
-    the circular one of length N folds only its indices N and above back,
-    onto indices below M + 4m - N <= 2m: the outputs 2m .. 2m + M - 1 it
-    keeps have no wrap-around.  The kernel is a K0 + b K1 with
-    weights (a, b); the mass outside the window is added in closed form
-    through its cumulative integral C and total mass a:
+    application costs one rfft/irfft pair of the extension (see _Workspace);
+    the operator holds no mutable state, so a memoised build can be shared.
+    The linear convolution of the extension with the row (length 2m + 1)
+    ends at index M + 4m - 1, so the circular one of length N folds only its
+    indices N and above back, onto indices below M + 4m - N <= 2m: the
+    outputs 2m .. 2m + M - 1 it keeps have no wrap-around.  The kernel is
+    a K0 + b K1 with weights (a, b); the mass outside the window is added in
+    closed form through its cumulative integral C and total mass a:
     tau (a - C(w)) - tau C(-w).
 
     Profiles are assumed continuous at the truncation; a mismatch between
@@ -176,8 +174,7 @@ class _Quadrature:
 
     def __call__(self, u: np.ndarray, tau: float,
                  work: _Workspace | None = None) -> np.ndarray:
-        """Image on the positive nodes of the odd profile (u, tau): work.image,
-        valid until the next call with the workspace `work`."""
+        """Image on the positive nodes of the odd profile (u, tau); see _Workspace."""
         n, m, size = self.n_fft, self.m, self.size
         work = self.workspace() if work is None else work
         ext = work.ext  # from node 1 - m: -tau beyond -L, the mirror, 0, u, tau, zeros
@@ -200,10 +197,12 @@ class _Quadrature:
 
 
 class _Workspace:
-    """One caller's arrays for a _Quadrature; the FFT input `ext` persists, as
-    the irfft writes `out`, whose kept outputs are `image`.  A call negates the
-    u slot `u` into its mirror, copies u in unless it is that view, and writes
-    the -tau and tau blocks, origin and padding only when tau is not `tau`."""
+    """One caller's arrays for a _Quadrature.  The FFT input `ext` persists
+    between calls: `u` is its slot for the positive nodes and `tau` the tail
+    its -tau and tau blocks hold.  A call copies u into the slot unless u is
+    that view, rewrites the tail blocks, origin and padding only when its tau
+    is not `tau`, and negates the slot into its mirror; the irfft writes
+    `out`, whose kept outputs `image` are returned, valid until the next call."""
 
     def __init__(self, n: int, m: int, size: int) -> None:
         self.ext, self.out, self.cusp_term = np.empty(n), np.empty(n), np.empty(size)
@@ -253,10 +252,8 @@ class _Spectral:
 def build_operator(grid: GridSpec, weights: tuple[float, float]) -> _Quadrature:
     """The quadrature a K0 + b K1 on odd profiles, built once per (grid, weights).
 
-    Calling the result with the values u on the positive nodes and the
-    right tail tau returns the image on those nodes, a view into the
-    workspace valid until its next call.  Its `workspace()`, passed as a
-    third argument, lets repeated calls reuse their FFT arrays.
+    Calling the result as op(u, tau, work=None) returns the image of the odd
+    profile (u, tau) on the positive nodes (see _Workspace).
     The kernel row is the combined a K0 + b K1, so an application costs one
     spectrum product whatever the weights.  Recent builds are memoised and
     shared, so callers only read them.

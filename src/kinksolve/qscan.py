@@ -86,10 +86,12 @@ class ScanReport:
                                  f"{s.kink_amplitude:.17g}"])
 
 
-def _as_sample(q: float, report: SolveReport) -> ScanSample:
+def _sample(q: float, cfg: ScanConfig, grid: GridSpec, ledger: ConstantsLedger,
+            initial: Profile | None = None) -> tuple[ScanSample, SolveReport]:
+    report = solve(replace(cfg.per_solve, q=float(q)), grid, ledger, initial=initial)
     return ScanSample(q=float(q), converged=report.converged,
                       final_residual=report.final_residual,
-                      kink_amplitude=float(report.solution.u[-1]))
+                      kink_amplitude=float(report.solution.u[-1])), report
 
 
 def scan(cfg: ScanConfig, grid: GridSpec, ledger: ConstantsLedger) -> ScanReport:
@@ -102,18 +104,15 @@ def scan(cfg: ScanConfig, grid: GridSpec, ledger: ConstantsLedger) -> ScanReport
     samples: list[ScanSample] = []
     warm: Profile | None = None
     for q in qs:
-        report = solve(replace(cfg.per_solve, q=float(q)), grid, ledger, initial=warm)
-        samples.append(_as_sample(q, report))
+        sample, report = _sample(q, cfg, grid, ledger, warm)
+        samples.append(sample)
         if report.converged:
             warm = report.solution
 
     cold_samples = None
     agree = None
     if cfg.cold_check:
-        cold_samples = []
-        for q in qs:
-            report = solve(replace(cfg.per_solve, q=float(q)), grid, ledger)
-            cold_samples.append(_as_sample(q, report))
+        cold_samples = [_sample(q, cfg, grid, ledger)[0] for q in qs]
         agree = all(w.is_kink == c.is_kink for w, c in zip(samples, cold_samples))
 
     bracket = None
@@ -132,8 +131,7 @@ def _bisect(lo: float, hi: float, cfg: ScanConfig, grid: GridSpec,
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent floats
             break
-        report = solve(replace(cfg.per_solve, q=mid), grid, ledger)
-        if _as_sample(mid, report).is_kink:
+        if _sample(mid, cfg, grid, ledger)[0].is_kink:
             lo = mid
         else:
             hi = mid

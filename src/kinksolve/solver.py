@@ -3,12 +3,12 @@
 Fixed points of the map solve the integral equation.  The invariant-cone
 argument lives entirely in odd functions, and so does a Profile: the iterate
 is the start's values u on the positive nodes, updated in place in the u
-slot of the solve's one operator workspace (a step writes only the mirror -u
-into the FFT input), and its right tail tau, whose cube root is taken again
-only when tau moves.  A copy of u makes the Profile at exit; the residual
-uses one scratch array per solve.  Cone membership is judged at both ends of
-a solve; the erf start's verdict depends only on the grid and the ledger, so
-it is computed once per (grid, ledger) in a process.
+slot of the solve's one operator workspace (see operators._Workspace), and
+its right tail tau, whose cube root is taken again only when tau moves.  A
+copy of u makes the Profile at exit; the residual uses one scratch array per
+solve.  Cone membership is judged at both ends of a solve; the erf start's
+verdict depends only on the grid and the ledger, so it is computed once per
+(grid, ledger) in a process.
 
 Convergence is declared on the map residual sup |image - iterate|, never on
 the damped step size, so damping cannot mask stagnation.  Non-convergence
@@ -171,20 +171,18 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     trace: list[float] = []
     events: list[dict] = []
     residual = math.inf
-    converged = False
-    growth_streak, cbrt_of = 0, math.nan  # image_tau is cbrt(cbrt_of)
+    growth_streak = 0
     for _ in range(cfg_solve.max_iter):
+        if tau != work.tau:  # image_tau is the cube root of the tail the blocks hold
+            image_tau = float(np.cbrt(tau))
         image = op(u, tau, work)  # views work: used up before the next call
         np.cbrt(image, out=image)
-        if tau != cbrt_of:
-            cbrt_of, image_tau = tau, float(np.cbrt(tau))
         np.abs(np.subtract(image, u, out=scratch), out=scratch)
         residual = max(float(np.maximum.reduce(scratch)), abs(image_tau - tau))
         if not math.isfinite(residual):
             raise ValueError("profile values must be finite")
         trace.append(residual)
         if residual <= cfg_solve.tol:
-            converged = True
             break
         if len(trace) > 1 and residual > trace[-2]:
             growth_streak += 1
@@ -203,6 +201,7 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
             u += image
         tau = (1.0 - omega) * tau + omega * image_tau
 
+    converged = residual <= cfg_solve.tol
     p = Profile(grid=grid, u=u.copy(), tau=tau)
     return SolveReport(
         converged=converged,

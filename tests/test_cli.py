@@ -92,6 +92,12 @@ def test_solve_infinite_half_width_exits_1(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_solve_overflowing_node_count_exits_1(workdir, capsys):
+    assert main(["solve", "--h", "1e-320"]) == 1
+    assert capsys.readouterr().err == "error: half_width/spacing = 20.0/1e-320 overflows\n"
+    assert list(workdir.iterdir()) == []
+
+
 def test_solve_bad_flag_exits_1(workdir):
     assert main(["solve", "--q", "zero"]) == 1
     assert main(["bogus-command"]) == 1
@@ -243,6 +249,10 @@ def test_solve_restart_csv_off_grid_exits_1(workdir, capsys, nodes, message):
     # inf is close to inf, and the closing inequality holds at c3 = inf
     ({k: lambda d: math.inf for k in ("b", "c0", "c1")}, "non-finite constants: b, c0, c1"),
     ({"c3": lambda d: math.inf, "q0": lambda d: 100.0}, "non-finite constants: c3"),
+    # every constant is positive by construction; a negative one is caught
+    # before a square or cube root is taken of it
+    *(({k: lambda d, k=k: -d[k]}, f"non-positive constants: {k}")
+      for k in ("b", "e", "c3", "c2", "c4")),
 ])
 def test_solve_with_a_loaded_ledger_that_breaks_an_invariant_exits_3(
         workdir, capsys, ledger_file, edit, message):

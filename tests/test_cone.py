@@ -232,6 +232,16 @@ def test_constants_respects_custom_q_range(default_grid):
     validate_ledger(wider)
 
 
+def test_q0_stays_within_the_q_range_of_the_masses(default_grid):
+    # b and e bound the kernels only for q <= q_max, so q0 is capped there
+    narrow = compute_constants(default_grid, q_range_max=0.1)
+    assert narrow.q0 == 0.1
+    p = sample(lambda x: narrow.c2 * psi(x), default_grid, narrow.c2 * 0.5)
+    assert is_cone_member(p, narrow)
+    with pytest.raises(ValueError, match="exceeds admissible bound 0.1$"):
+        check_preservation(p, KernelFamily(0.2), narrow)
+
+
 @pytest.mark.parametrize("q_max", [0.3, 0.5, 1.0, 3.7])
 def test_constants_take_suprema_at_q_max(default_grid, q_max):
     # b and e are the closed-form masses at q_max; a q-sweep of the masses

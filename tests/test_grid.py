@@ -50,6 +50,14 @@ def test_make_grid_range_validation():
         make_grid(math.inf, 0.05)
 
 
+@pytest.mark.parametrize("half_width, spacing", [(20.0, 1e-320), (20.0, 5e-324),
+                                                  (1e300, 1e-10)])
+def test_make_grid_rejects_an_overflowing_node_count(half_width, spacing):
+    # L/h is inf, which round() cannot take
+    with pytest.raises(ValueError, match="overflows"):
+        make_grid(half_width, spacing)
+
+
 def test_sample_erf_is_odd():
     # sampled on the positive nodes only, yet equal to erf on every node
     g = make_grid(20.0, 0.05)

@@ -27,14 +27,13 @@ from . import __version__
 from .cone import (
     ConstantsLedger,
     LedgerInvariantError,
+    check_preservation,
     compute_constants,
-    is_cone_member,
     random_cone_members,
-    validate_ledger,
 )
 from .grid import make_grid, profile_to_csv, profile_to_json, sample, sup_distance
 from .kernels import KernelFamily, erf
-from .operators import OperatorConfig, apply_pq, apply_tq, psi, t0_psi_analytic
+from .operators import OperatorConfig, apply_tq, psi, t0_psi_analytic
 from .qscan import ScanConfig, scan
 from .solver import SolveConfig, initial_guess, solve
 
@@ -114,29 +113,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_init(raw: str) -> tuple[str, str | None]:
-    if raw.startswith("file:"):
-        return "from_file", raw[5:]
-    if raw not in ("erf", "sign"):
-        raise _UsageError(f"unknown --init value {raw!r}")
-    return raw, None
-
-
 def _load_or_compute_ledger(grid, ledger_path):
     if ledger_path is not None:
-        ledger = ConstantsLedger.from_json_dict(json.loads(Path(ledger_path).read_text()))
-        validate_ledger(ledger)
-        return ledger
+        return ConstantsLedger.from_json_dict(json.loads(Path(ledger_path).read_text()))
     return compute_constants(grid)
 
 
 def _cmd_solve(args) -> tuple[int, list[str]]:
-    init, init_path = _parse_init(args.init)
     grid = make_grid(args.L, args.h)
     ledger = _load_or_compute_ledger(grid, args.ledger)
     cfg = SolveConfig(q=args.q, damping=args.omega, tol=args.tol, max_iter=args.max_iter)
-    report = solve(cfg, grid, ledger,
-                   initial=initial_guess(init, grid, ledger, init_path))
+    report = solve(cfg, grid, ledger, initial=initial_guess(args.init, grid, ledger))
 
     out = Path(args.out)
     report_path = out.with_name(out.name + ".report.json")
@@ -183,16 +170,12 @@ def _cmd_verify(args) -> tuple[int, list[str]]:
                                         apply_tq(p, family, OperatorConfig("spectral"))))
     checks.append(("quadrature vs spectral", worst, 1e-8, worst <= 1e-8))
 
-    # each draw is checked once, and only members go through the map: with
-    # q_run <= q0 they meet check_preservation's hypotheses, so a draw that
-    # is not a member is a failed row instead of that function's ValueError
     q_run = min(args.q, ledger.q0)
+    family_run = KernelFamily(q_run)
     draws = random_cone_members(args.trials, grid, ledger, seed=args.seed)
-    members = [m for m in draws if is_cone_member(m, ledger)]
-    n_in = len(members)
-    n_preserved = sum(
-        is_cone_member(apply_pq(m, KernelFamily(q_run)), ledger)
-        for m in members)
+    verdicts = [check_preservation(m, family_run, ledger) for m in draws]
+    n_in = len(verdicts) - verdicts.count(None)
+    n_preserved = verdicts.count(True)
     checks.append((f"cone membership of {args.trials} draws", float(n_in),
                    float(args.trials), n_in == args.trials))
     checks.append((f"cone preservation at q={q_run:.4f}", float(n_preserved),

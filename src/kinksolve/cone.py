@@ -92,8 +92,11 @@ class ConstantsLedger:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstantsLedger":
-        """Inverse of to_json_dict; the c5 table is derived, so it is not read."""
-        return cls(**{f.name: json_field(d, f.name) for f in fields(cls)})
+        """Inverse of to_json_dict, checked by validate_ledger; the c5 table
+        is derived, so it is not read."""
+        ledger = cls(**{f.name: json_field(d, f.name) for f in fields(cls)})
+        validate_ledger(ledger)
+        return ledger
 
 
 @dataclass(frozen=True)
@@ -263,18 +266,19 @@ def is_cone_member(p: Profile, ledger: ConstantsLedger) -> bool:
 
 
 def check_preservation(p: Profile, family: KernelFamily,
-                       ledger: ConstantsLedger) -> ConeReport:
-    """Membership report for the image of a cone member under the map.
+                       ledger: ConstantsLedger) -> bool | None:
+    """Whether the map keeps p in the cone: the lemma's verdict on p.
 
-    Requires a genuine member and a deformation within the admissible bound;
-    under those hypotheses the image must remain in the cone, so a failing
-    report indicates a constants or operator bug.
+    Raises ValueError for a deformation beyond the admissible bound q0, and
+    returns None when p is not a cone member, where the lemma says nothing.
+    Under its hypotheses the image must remain in the cone, so False
+    indicates a constants or operator bug.
     """
-    if not is_cone_member(p, ledger):
-        raise ValueError("input profile is not a cone member")
     if family.q > ledger.q0:
         raise ValueError(f"deformation {family.q} exceeds admissible bound {ledger.q0}")
-    return check_cone(apply_pq(p, family), ledger)
+    if not is_cone_member(p, ledger):
+        return None
+    return is_cone_member(apply_pq(p, family), ledger)
 
 
 def random_cone_members(n: int, grid: GridSpec, ledger: ConstantsLedger,

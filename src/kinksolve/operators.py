@@ -211,10 +211,6 @@ class _Workspace:
         self.mirrored = self.u[min(m - 1, size) - 1::-1]
         self.mirror, self.tau = self.ext[m - 1 - len(self.mirrored):m - 1], math.nan
 
-    def __iter__(self):
-        """The arrays; a caller that writes ext itself sets tau to NaN."""
-        return iter((self.ext, self.spectrum, self.out, self.cusp_term))
-
 
 class _Spectral:
     """Fourier-multiplier application after removing a non-decaying reference.

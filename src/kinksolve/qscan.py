@@ -21,10 +21,7 @@ import numpy as np
 
 from .cone import ConstantsLedger
 from .grid import GridSpec, Profile
-from .solver import SolveConfig, SolveReport, solve
-
-#: Right-boundary value separating the kink branch from the others.
-KINK_AMPLITUDE_THRESHOLD = 0.5
+from .solver import KINK_AMPLITUDE_THRESHOLD, SolveConfig, SolveReport, solve
 
 
 @dataclass

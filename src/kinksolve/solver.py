@@ -43,6 +43,10 @@ from .operators import build_operator
 #: barely above 2^(2/3)), so the step is smoothed over an O(1) width instead.
 SIGN_RAMP_HALF_WIDTH = 1.2
 
+#: Last-node value separating the kink branch from the zero solution and the
+#: sign-flipped attractors: a converged solve whose u[-1] exceeds it is a kink.
+KINK_AMPLITUDE_THRESHOLD = 0.5
+
 #: Deltas below this are treated as exactly saturated by the decay fit.
 _DECAY_FLOOR = 1e-15
 
@@ -100,34 +104,32 @@ class SolveReport:
         return d
 
 
-def initial_guess(kind: str, grid: GridSpec, ledger: ConstantsLedger,
-                  path: str | None = None) -> Profile:
-    """Construct a starting profile; warns when it misses the cone.
+def initial_guess(spec: str, grid: GridSpec, ledger: ConstantsLedger) -> Profile:
+    """The starting profile `solve --init spec` names; warns when it misses the cone.
 
     erf       -- samples of erf(x), tails -1/+1
     sign      -- +-1 with the step smoothed by a linear ramp at the origin
-    from_file -- the odd part of a profile loaded from a CSV or JSON file
+    file:PATH -- the odd part of a profile loaded from a CSV or JSON file
     """
-    if kind == "from_file":
-        if path is None:
-            raise ValueError("from_file initial guess needs a path")
+    if spec.startswith("file:"):
+        path = spec[5:]
         # CSV carries nodes only; in the kink-iteration context the tail is
         # the boundary value 1 (JSON files carry theirs explicitly)
-        p = (profile_from_json(path) if str(path).endswith(".json")
+        p = (profile_from_json(path) if path.endswith(".json")
              else profile_from_csv(path, tau=1.0))
         _check_grid(p, grid)
-    elif kind == "erf":
+    elif spec == "erf":
         p = _erf_start(grid)
-    elif kind == "sign":
+    elif spec == "sign":
         p = Profile(grid=grid, u=np.minimum(grid.x_half / SIGN_RAMP_HALF_WIDTH, 1.0),
                     tau=1.0)
     else:
-        raise ValueError(f"unknown initial guess {kind!r}")
+        raise ValueError(f"unknown --init value {spec!r}")
 
-    member = (_erf_start_is_member(grid, ledger) if kind == "erf"
+    member = (_erf_start_is_member(grid, ledger) if spec == "erf"
               else is_cone_member(p, ledger))
     if not member:
-        warnings.warn(f"initial guess {kind!r} is not a cone member: "
+        warnings.warn(f"initial guess {spec!r} is not a cone member: "
                       f"{check_cone(p, ledger)}", stacklevel=2)
     return p
 
@@ -157,7 +159,8 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
     is raised when it lives on another grid than `grid`.  The default
     undamped iteration falls back to half damping when the residual
     has grown five steps in a row, and records that as an event.  The decay
-    estimate needs a kink (converged, tail above 1/2) and L above 8.
+    estimate needs a kink (converged, u[-1] above KINK_AMPLITUDE_THRESHOLD,
+    the scan's test) and L above 8.
     """
     if initial is None:
         initial = initial_guess("erf", grid, ledger)
@@ -209,7 +212,8 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
         final_residual=residual,
         residual_trace=trace,
         cone_member_final=is_cone_member(p, ledger),
-        decay_estimate=decay_ratio(p) if converged and tau > 0.5 else None,
+        decay_estimate=(decay_ratio(p) if converged and u[-1] > KINK_AMPLITUDE_THRESHOLD
+                        else None),
         solution=p,
         boundary_defect=abs(u[-1] - tau),
         stop_reason="converged" if converged else "budget",

@@ -238,6 +238,16 @@ def test_solve_restart_csv_off_grid_exits_1(workdir, capsys, nodes, message):
     assert not (workdir / "sol.csv").exists()
 
 
+def test_solve_restart_csv_with_a_nan_value_exits_1(workdir, capsys):
+    # the nodes are a valid grid; the phi column is what fails
+    rows = _restart_rows(np.linspace(-5.0, 5.0, 201)).splitlines()
+    rows[150] = rows[150].split(",")[0] + ",nan"
+    (workdir / "nanphi.csv").write_text("\n".join(rows) + "\n")
+    assert main(["solve", "--L", "5", "--init", "file:nanphi.csv", "--out", "sol.csv"]) == 1
+    assert capsys.readouterr().err == "error: profile values must be finite\n"
+    assert not (workdir / "sol.csv").exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"c0": lambda d: d["c0"] * 1.01}, "c0 != sqrt(b)"),
     ({"c1": lambda d: d["c1"] * 1.01}, "c1 != c_hat (c0 e)^(1/3)"),

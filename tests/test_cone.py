@@ -22,7 +22,7 @@ from kinksolve.cone import (
     random_cone_members,
     validate_ledger,
 )
-from kinksolve.grid import GridSpec, Profile, sample
+from kinksolve.grid import GridSpec, Profile, make_grid, sample
 from kinksolve.kernels import KernelFamily, kq_abs_mass, kq_derivative_abs_mass
 from kinksolve.operators import apply_pq, psi, t0_psi_analytic
 from kinksolve.solver import initial_guess
@@ -154,6 +154,22 @@ def test_ledger_json_round_trip(ledger, tmp_path):
     validate_ledger(back)
 
 
+def test_ledger_read_from_json_is_validated(ledger):
+    d = ledger.to_json_dict()
+    d["b"] = -d["b"]
+    with pytest.raises(LedgerInvariantError, match="non-positive constants: b"):
+        ConstantsLedger.from_json_dict(d)
+
+
+def test_constants_reject_a_ramp_above_one_half():
+    # cbrt(r) / r >= 2^(2/3) = ell holds exactly while r <= 1/2, the bound
+    # erf(x)/2 never crosses; a fresh grid, so no other test sees its ramp
+    grid = make_grid(20.0, 0.05)
+    grid.__dict__["ramp"] = np.full(grid.center_index, 0.6)
+    with pytest.raises(LedgerInvariantError, match="ramp cube-root lower bound"):
+        compute_constants(grid)
+
+
 def test_barrier_profile_is_member(default_grid, ledger):
     p = sample(lambda x: ledger.c2 * psi(x), default_grid, ledger.c2 * 0.5)
     report = check_cone(p, ledger)
@@ -178,19 +194,18 @@ def test_oversized_constant_is_not_member(default_grid, ledger):
 
 def test_preservation_of_erf_at_q0(default_grid, ledger):
     p = sample(lambda x: erf(x), default_grid, 1.0)
-    assert check_preservation(p, KernelFamily(0.0), ledger).member
+    assert check_preservation(p, KernelFamily(0.0), ledger) is True
 
 
 def test_preservation_of_barrier_at_half_q0(default_grid, ledger):
     p = sample(lambda x: ledger.c2 * psi(x), default_grid, ledger.c2 * 0.5)
-    assert check_preservation(p, KernelFamily(ledger.q0 / 2.0), ledger).member
+    assert check_preservation(p, KernelFamily(ledger.q0 / 2.0), ledger) is True
 
 
 def test_preservation_rejects_nonmember_input(default_grid, ledger):
     big = 2.0 * ledger.c0
     p = Profile(grid=default_grid, u=np.full(default_grid.center_index, big), tau=big)
-    with pytest.raises(ValueError):
-        check_preservation(p, KernelFamily(0.0), ledger)
+    assert check_preservation(p, KernelFamily(0.0), ledger) is None
 
 
 def test_preservation_rejects_excessive_q(default_grid, ledger):
@@ -208,7 +223,7 @@ def test_random_members_preserved_across_q(default_grid, ledger):
     members = random_cone_members(25, default_grid, ledger, seed=1234)
     for q in [0.0, ledger.q0 / 2.0, ledger.q0]:
         fam = KernelFamily(q)
-        assert all(check_preservation(m, fam, ledger).member for m in members)
+        assert all(check_preservation(m, fam, ledger) is True for m in members)
 
 
 def test_sup_bound_chain(default_grid, ledger):

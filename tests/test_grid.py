@@ -182,6 +182,17 @@ def test_json_loader_rejects_tails_that_are_not_opposite():
             profile_from_json_dict(d)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda v: v[:-1], "expected 801 values, got shape (800,)"),
+    (lambda v: v[:7] + [math.nan] + v[8:], "profile values must be finite"),
+])
+def test_json_loader_rejects_short_or_nonfinite_values(edit, message):
+    d = profile_to_json_dict(sample(lambda x: erf(x), make_grid(20.0, 0.05), 1.0))
+    d["values"] = edit(d["values"])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        profile_from_json_dict(d)
+
+
 def test_odd_codec_round_trip_is_exact():
     # u -> values mirrors u; the loaders' odd part of those values is u again
     g = make_grid(20.0, 0.05)

@@ -330,7 +330,7 @@ def test_operator_with_a_workspace_equals_an_allocating_call(half_width, spacing
     grid = make_grid(half_width, spacing)
     op = build_operator(grid, KernelFamily(q).weights)
     work = op.workspace()
-    for array in work:
+    for array in (work.ext, work.spectrum, work.out, work.cusp_term):
         array.fill(np.nan)  # every entry a call reads must be written first
     rng = np.random.default_rng(19)
     x = grid.x_half

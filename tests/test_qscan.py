@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kinksolve import qscan
+from kinksolve import qscan, solver
+from kinksolve.grid import Profile
 from kinksolve.qscan import ScanConfig, ScanSample, scan
 from kinksolve.solver import SolveConfig
 
@@ -40,6 +41,24 @@ def test_sample_classification_rule():
     flat = ScanSample(q=0.1, converged=True, final_residual=1e-13,
                       kink_amplitude=0.2)
     assert not flat.is_kink
+
+
+def test_kink_threshold_lives_in_solver():
+    assert qscan.KINK_AMPLITUDE_THRESHOLD is solver.KINK_AMPLITUDE_THRESHOLD
+
+
+def test_solve_fits_the_decay_exactly_on_the_scans_kinks(default_grid, ledger):
+    # at q = 3 the solve converges with tail 1 and u[-1] near -1.1, no kink;
+    # from -erf with tail -1 it converges to the mirrored kink, no kink either
+    cfg = ScanConfig()
+    pairs = [qscan._sample(q, cfg, default_grid, ledger)
+             for q in (0.0, ledger.q0 / 2.0, 2.3, 3.0)]
+    start = Profile(grid=default_grid, u=-2.0 * default_grid.ramp, tau=-1.0)
+    pairs.append(qscan._sample(0.0, cfg, default_grid, ledger, start))
+    assert all(report.converged for _, report in pairs)
+    assert [sample.is_kink for sample, _ in pairs] == [True, True, True, False, False]
+    for sample, report in pairs:
+        assert sample.is_kink == (report.decay_estimate is not None)
 
 
 def test_scan_within_admissible_range_all_kink(default_grid, ledger):

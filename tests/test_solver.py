@@ -55,13 +55,8 @@ def test_solve_config_rejects_zero_max_iter():
         SolveConfig(max_iter=0)
 
 
-def test_initial_guess_from_file_needs_a_path(default_grid, ledger):
-    with pytest.raises(ValueError, match="needs a path"):
-        initial_guess("from_file", default_grid, ledger)
-
-
 def test_initial_guess_rejects_unknown_kind(default_grid, ledger):
-    with pytest.raises(ValueError, match="unknown initial guess"):
+    with pytest.raises(ValueError, match="unknown --init value 'bogus'"):
         initial_guess("bogus", default_grid, ledger)
 
 
@@ -82,11 +77,11 @@ def test_initial_guess_from_file(default_grid, ledger, tmp_path):
     p = initial_guess("erf", default_grid, ledger)
     csv_path = tmp_path / "guess.csv"
     profile_to_csv(p, csv_path)
-    q = initial_guess("from_file", default_grid, ledger, path=str(csv_path))
+    q = initial_guess(f"file:{csv_path}", default_grid, ledger)
     assert np.all(q.values == p.values)
     json_path = tmp_path / "guess.json"
     profile_to_json(p, json_path)
-    r = initial_guess("from_file", default_grid, ledger, path=str(json_path))
+    r = initial_guess(f"file:{json_path}", default_grid, ledger)
     assert np.all(r.values == p.values)
     assert r.tau == 1.0
 
@@ -97,7 +92,7 @@ def test_initial_guess_from_file_grid_mismatch(ledger, tmp_path):
     path = tmp_path / "guess.csv"
     profile_to_csv(p, path)
     with pytest.raises(ValueError):
-        initial_guess("from_file", make_grid(20.0, 0.05), ledger, path=str(path))
+        initial_guess(f"file:{path}", make_grid(20.0, 0.05), ledger)
 
 
 def test_solve_rejects_initial_on_other_grid(ledger):
@@ -114,7 +109,7 @@ def test_initial_guess_warns_outside_cone(default_grid, ledger, tmp_path):
     profile_to_json(bad, path)
     # the warning carries check_cone's full report, not only the verdict
     with pytest.warns(UserWarning, match=r"is_bounded=False, sup_value="):
-        initial_guess("from_file", default_grid, ledger, path=str(path))
+        initial_guess(f"file:{path}", default_grid, ledger)
 
 
 def test_initial_guess_judges_the_odd_part_of_a_file(default_grid, ledger, tmp_path):
@@ -127,7 +122,7 @@ def test_initial_guess_judges_the_odd_part_of_a_file(default_grid, ledger, tmp_p
                                 "values": (erf(x) + 2.0 * ledger.c0).tolist()}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = initial_guess("from_file", default_grid, ledger, path=str(path))
+        p = initial_guess(f"file:{path}", default_grid, ledger)
     assert np.max(np.abs(p.u - erf(default_grid.x_half))) <= 1e-15
 
 

@@ -206,9 +206,14 @@ def profile_to_json_dict(p: Profile) -> dict:
 
 
 def json_field(d: dict, key: str, convert: Callable = float):
-    """convert(d[key]); ValueError naming key when it is missing or not numeric."""
+    """convert(d[key]); ValueError naming key when it is missing or not
+    numeric, a JSON string, boolean or null (also in a list) included."""
     try:
-        return convert(d[key])
+        value = d[key]
+        items = value if isinstance(value, list) else [value]
+        if any(v is None or isinstance(v, (str, bool)) for v in items):
+            raise TypeError(key)
+        return convert(value)
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"JSON field {key!r} is missing or not numeric") from None
 

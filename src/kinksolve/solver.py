@@ -50,8 +50,14 @@ KINK_AMPLITUDE_THRESHOLD = 0.5
 #: Deltas below this are treated as exactly saturated by the decay fit.
 _DECAY_FLOOR = 1e-15
 
-#: Spacing of the decay fit's cutoffs, which are 2, 4, ... up to L/2.
+#: Spacing of the decay fit's cutoffs, which are 2, 4, ... up to
+#: min(L/2, _DECAY_LAST_CUT).
 _DECAY_STEP = 2.0
+
+#: Last cutoff of the decay fit on long grids.  Beyond it the deltas of a
+#: converged kink approach the solve's tolerance, where rounding, not the
+#: decay, sets their ratios.
+_DECAY_LAST_CUT = 10.0
 
 
 @dataclass
@@ -223,15 +229,17 @@ def solve(cfg_solve: SolveConfig, grid: GridSpec, ledger: ConstantsLedger,
 
 def decay_ratio(p: Profile) -> float | None:
     """Geometric mean ratio of successive sup_{x > l} |tau - p(x)| over the
-    cutoffs l = 2, 4, ..., L/2 of the profile p with right tail tau, which
-    a solve may leave within tol of 1: below 1 for a kink, 0.0 when p is
-    saturated at +-tau beyond x = 2, and None when L <= 8, where 2 is not
-    below L/4."""
+    cutoffs l = 2, 4, ..., min(L/2, 10) of the profile p with right tail tau,
+    which a solve may leave within tol of 1: below 1 for a kink, 0.0 when p
+    is saturated at +-tau beyond x = 2, and None when L <= 8, where 2 is not
+    below L/4.  Every grid with L >= 20 fits the same window, so there the
+    estimate agrees across L to ~1e-10."""
     g = p.grid
     if not _DECAY_STEP < g.half_width / 4.0:
         return None
     beyond = np.maximum.accumulate(np.abs(p.tau - p.u)[::-1])[::-1]
-    cuts = _DECAY_STEP * np.arange(1, g.half_width // (2.0 * _DECAY_STEP) + 1)
+    last = min(g.half_width / 2.0, _DECAY_LAST_CUT)
+    cuts = _DECAY_STEP * np.arange(1, last // _DECAY_STEP + 1)
     deltas = beyond[np.searchsorted(g.x_half, cuts, side="right")]
     # the deltas never increase, so those above the floor are a prefix
     live = deltas[deltas > _DECAY_FLOOR]

@@ -188,14 +188,37 @@ def test_init_sign_matches_library_start(workdir, ledger_file, default_grid, led
     assert (workdir / "sign.csv").read_bytes() == (workdir / "expected.csv").read_bytes()
 
 
+def _valid_json_input(flag, ledger_file, grid):
+    """A --ledger or --init file's content that solve accepts."""
+    if flag == "--ledger":
+        return json.loads(ledger_file.read_text())
+    return {"half_width": grid.half_width, "spacing": grid.spacing, "tail_right": 1.0,
+            "tail_left": -1.0, "values": erf(grid.x).tolist()}
+
+
 @pytest.mark.parametrize("flag, content, field", [
     ("--ledger", "{}", "b"),
     ("--ledger", '{"b": 1.0, "c0": null}', "c0"),
     ("--init", "{}", "half_width"),
     ("--init", '{"half_width": 20, "spacing": 0.05, "tail_right": 1, "tail_left": -1, '
                '"values": {"a": 1}}', "values"),
+    # a JSON string, boolean or null is no number, though float() or numpy
+    # would read it as one (null as nan)
+    pytest.param("--ledger", lambda d: {**d, "b": str(d["b"])}, "b", id="b-string"),
+    pytest.param("--ledger", lambda d: {**d, "q0": True}, "q0", id="q0-true"),
+    pytest.param("--init", lambda d: {**d, "spacing": "0.05"}, "spacing",
+                 id="spacing-string"),
+    pytest.param("--init", lambda d: {**d, "values": [str(v) for v in d["values"]]},
+                 "values", id="values-strings"),
+    pytest.param("--init", lambda d: {**d, "values": [True, *d["values"][1:]]},
+                 "values", id="values-true"),
+    pytest.param("--init", lambda d: {**d, "values": [None, *d["values"][1:]]},
+                 "values", id="values-null"),
 ])
-def test_solve_malformed_json_input_exits_1(workdir, capsys, flag, content, field):
+def test_solve_malformed_json_input_exits_1(workdir, capsys, ledger_file, default_grid,
+                                            flag, content, field):
+    if callable(content):  # a change to a valid input
+        content = json.dumps(content(_valid_json_input(flag, ledger_file, default_grid)))
     (workdir / "bad.json").write_text(content)
     value = "bad.json" if flag == "--ledger" else "file:bad.json"
     assert main(["solve", flag, value, "--out", "sol.csv"]) == 1

@@ -267,9 +267,9 @@ def test_decay_ratio_on_solution(kink_q0, ledger):
 
 
 def _decay_ratio_by_cutoff_loop(p):
-    # reference: one mask per cutoff 2, 4, ..., L/2
+    # reference: one mask per cutoff 2, 4, ..., min(L/2, 10)
     deltas, cut = [], 2.0
-    while cut <= p.grid.half_width / 2.0:
+    while cut <= min(p.grid.half_width / 2.0, 10.0):
         beyond = float(np.max(np.abs(1.0 - p.values[p.grid.x > cut])))
         deltas.append(max(beyond, abs(1.0 - p.tau)))
         cut += 2.0
@@ -314,7 +314,7 @@ def test_decay_ratio_none_on_converged_l8_solution(ledger):
     assert decay_ratio(rep.solution) is None
 
 
-@pytest.mark.parametrize("half_width", [20.0, 80.0])
+@pytest.mark.parametrize("half_width", [20.0, 40.0, 80.0])
 @pytest.mark.parametrize("tail", [0.5, 0.9, 1.2])
 def test_decay_estimate_does_not_depend_on_the_start_tail(ledger, half_width, tail):
     # the tail iterates tau <- tau^(1/3) and stops within tol of 1, not at 1;
@@ -326,6 +326,15 @@ def test_decay_estimate_does_not_depend_on_the_start_tail(ledger, half_width, ta
     assert rep.converged
     assert rep.solution.tau != 1.0
     assert rep.decay_estimate == pytest.approx(erf_start, rel=1e-6)
+
+
+def test_decay_estimate_does_not_depend_on_the_half_width(ledger):
+    # the fit's window is 2 <= x <= 10 on every grid with L >= 20
+    for q in (0.0, ledger.q0 / 2.0, 1.0):
+        estimates = [solve(SolveConfig(q=q), make_grid(half_width, 0.05), ledger)
+                     .decay_estimate for half_width in (20.0, 40.0, 80.0)]
+        assert None not in estimates
+        assert estimates == pytest.approx([estimates[0]] * 3, rel=1e-9)
 
 
 @pytest.mark.parametrize("tail", [0.0, -1.0])
@@ -401,7 +410,7 @@ def test_erf_start_is_fresh_on_every_call(default_grid, ledger):
     first = initial_guess("erf", default_grid, ledger)
     first.u[:] = 0.0
     second = initial_guess("erf", default_grid, ledger)
-    assert np.array_equal(second.u, erf(default_grid.x_half))
+    assert np.array_equal(second.u, kernels.erf(default_grid.x_half))
     assert not np.shares_memory(first.u, second.u)
 
 

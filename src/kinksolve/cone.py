@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import GridSpec, Profile, json_field, sup_norm
+from .grid import GridSpec, Profile, json_field
 from .kernels import (
     K1_WEIGHTS,
     KernelFamily,
@@ -196,28 +196,43 @@ def validate_ledger(ledger: ConstantsLedger) -> None:
 def _holder_ratio(v: np.ndarray, h: float, floor: float = 0.0) -> float:
     """max(floor, max over node pairs i < j of |v_j - v_i| / ((j - i) h)^(1/3)).
 
-    Lags go in dyadic blocks [w, 2w).  hi and lo, built by doubling, hold the
-    max and min of v on each start's window v[i : i + 2w], which holds all its
+    Lags go in dyadic blocks [w, 2w).  The largest step s = max |v_{k+1} - v_k|
+    gives the lag-1 block exactly, s / h^(1/3), and bounds each later one: a
+    pair at lag l < 2w differs by at most l s, so its ratio is at most
+    s (2w - 1)^(2/3) / h^(1/3).  A block whose bound, widened by 1e-14, cannot
+    beat worst is skipped; the roundings between that bound and a pair's
+    computed ratio (steps, differences, products, quotients, cube roots, the
+    exponents 1/3 and 2/3) come to under 4e-15 for lags below 2^40.  For a
+    searched block, hi and lo, doubled only as far as it needs, hold the max
+    and min of v on each start's window v[i : i + 2w], which holds all its
     partners in the block, so only starts reaching beyond the cut worst
-    (w h)^(1/3), taken a few ulps low so that no rounding prunes a pair that
-    beats worst, are gathered, 2^14 elements (or one start) at a time to keep
-    memory flat.  Once the range of v is within the cut, no longer lag can
-    win.  worst starts at floor, so a floor at the cone's bound prunes every
-    start that cannot break it: all that a yes/no membership answer needs.
+    (w h)^(1/3), taken a few ulps low likewise, are gathered, 2^14 elements
+    (or one start) at a time to keep memory flat.  Once the range of v is
+    within the cut, no longer lag can win.  worst starts at floor, so a floor
+    at the cone's bound skips every block and start that cannot break it: all
+    that a yes/no membership answer needs.
     """
-    n, worst, w = len(v), floor, 1
-    hi, lo, span = v.copy(), v.copy(), float(np.ptp(v)) if n else 0.0
+    n, w, built = len(v), 2, 1
+    hi, lo = v.copy(), v.copy()
+    span = float(np.maximum.reduce(v) - np.minimum.reduce(v)) if n else 0.0
+    step = float(np.maximum.reduce(np.abs(v[1:] - v[:-1]))) if n > 1 else 0.0
+    root = float((np.array([h]) ** (1.0 / 3.0))[0])  # rounded as a block's scale is
+    worst = max(floor, step / root)
     while w < n and span > (cut := worst * (w * h) ** (1.0 / 3.0) * (1.0 - 1e-15)):
-        hi[:-w], lo[:-w] = np.maximum(hi[:-w], hi[w:]), np.minimum(lo[:-w], lo[w:])
-        reach = np.maximum(hi - v, v - lo)[:n - w]
-        starts = np.flatnonzero(reach > cut)
-        lags = np.arange(w, 2 * w)
-        scale = (lags * h) ** (1.0 / 3.0)
-        rows = max(1, (1 << 14) // w)
-        for k in range(0, len(starts), rows):
-            i = starts[k:k + rows, None]
-            j = np.minimum(i + lags, n - 1)  # a clamped partner sits at a longer lag
-            worst = max(worst, float(np.max(np.abs(v[j] - v[i]) / scale)))
+        if step * (2 * w - 1) ** (2.0 / 3.0) > worst * root * (1.0 - 1e-14):
+            while built < 2 * w:
+                hi[:-built], lo[:-built] = (np.maximum(hi[:-built], hi[built:]),
+                                            np.minimum(lo[:-built], lo[built:]))
+                built *= 2
+            reach = np.maximum(hi - v, v - lo)[:n - w]
+            starts = np.flatnonzero(reach > cut)
+            lags = np.arange(w, 2 * w)
+            scale = (lags * h) ** (1.0 / 3.0)
+            rows = max(1, (1 << 14) // w)
+            for k in range(0, len(starts), rows):
+                i = starts[k:k + rows, None]
+                j = np.minimum(i + lags, n - 1)  # a clamped partner sits at a longer lag
+                worst = max(worst, float(np.max(np.abs(v[j] - v[i]) / scale)))
         w *= 2
     return worst
 
@@ -236,10 +251,11 @@ def _cone_report(p: Profile, ledger: ConstantsLedger, floor: float) -> ConeRepor
     d^2 / 9 at d = |a - b| / (a + b) >= 1 / (2M), far above rounding.
     """
     u, h = p.u, p.grid.spacing
-    sup_value = sup_norm(p)
-    pairs = float(np.max(2.0 * np.abs(u) / p.grid.pair_scale))
+    magnitude = np.abs(u)
+    sup_value = max(float(np.maximum.reduce(magnitude)), abs(p.tau))
+    pairs = float(np.maximum.reduce(2.0 * magnitude / p.grid.pair_scale))
     worst = _holder_ratio(u, h, max(floor, pairs))
-    margin = float(np.min(u - ledger.c2 * p.grid.ramp))
+    margin = float(np.minimum.reduce(u - ledger.c2 * p.grid.ramp))
     margin = min(margin, p.tau - ledger.c2 * 0.5)
     return ConeReport(
         is_bounded=sup_value <= ledger.c0 + MEMBERSHIP_SLACK, sup_value=sup_value,

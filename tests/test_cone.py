@@ -296,11 +296,13 @@ def _assert_exact(ratio, v, h):
     assert ratio == pytest.approx(_all_pairs_ratio(v, h), rel=4e-16, abs=0.0)
 
 
-@pytest.mark.parametrize("seed, kind", enumerate(["random", "cusp", "walk", "tanh"]))
+@pytest.mark.parametrize("seed, kind", enumerate(["random", "cusp", "walk", "tanh", "ramp"]))
 @pytest.mark.parametrize("h", [0.01, 0.05, 0.37])
 def test_holder_ratio_is_exact_over_all_pairs(ledger, seed, kind, h):
     # arrays that are not odd go to _holder_ratio directly, and their
-    # positive halves to check_cone as profiles
+    # positive halves to check_cone as profiles; on a ramp, piecewise linear
+    # with random slopes, a pair 2w - 1 apart on its steepest piece attains
+    # the lag block [w, 2w)'s first-difference bound in exact arithmetic
     rng = np.random.default_rng([seed, int(100 * h)])
     for _ in range(10):
         m = int(rng.integers(1, 150))
@@ -309,7 +311,9 @@ def test_holder_ratio_is_exact_over_all_pairs(ledger, seed, kind, h):
         v = {"random": lambda: rng.normal(size=x.size),
              "cusp": lambda: np.cbrt(x - x[rng.integers(x.size)]),
              "walk": lambda: np.cumsum(rng.normal(size=x.size)),
-             "tanh": lambda: np.tanh(rng.uniform(0.1, 5.0) * x)}[kind]()
+             "tanh": lambda: np.tanh(rng.uniform(0.1, 5.0) * x),
+             "ramp": lambda: np.cumsum(
+                 rng.normal(size=4)[np.sort(rng.integers(4, size=x.size))])}[kind]()
         _assert_exact(_holder_ratio(v, h), v, h)
         _assert_exact(_holder_ratio(v[1:], h), v[1:], h)  # an even node count
         p = Profile(grid=grid, u=v[m + 1:], tau=v[-1])
@@ -366,10 +370,16 @@ def test_far_pair_modulus_violation_is_not_member(default_grid, ledger):
 @example([0.25, -0.5], False, 0.2, 1.0, 0)
 @example([0.25, -0.5], False, 0.2, 1.0, -1)
 @example([0.25, -0.5], False, 0.2, 1.0, 1)
+@example([0.25] * 32, True, 0.05, 1.0, -1)
+@example([0.25] * 32, True, 0.05, 1.0, 0)
+@example([0.25] * 32, True, 0.05, 1.0, 1)
 @settings(max_examples=300, deadline=None)
 def test_floored_holder_ratio_is_max_of_floor_and_ratio(values, walk, h, fraction, ulps):
     # floors below, at and above the exact ratio, down to an ulp either side;
-    # a walk reaches its worst pair at long lags, white noise at short ones
+    # a walk reaches its worst pair at long lags, white noise at short ones;
+    # on a line of 32 nodes the worst pair, 31 apart, ties the first-difference
+    # bound of the block [16, 32), so rounding that skipped that block would
+    # fail the floor an ulp below the ratio
     v = np.cumsum(values) if walk else np.array(values, dtype=float)
     ratio = _holder_ratio(v, h)
     floor = ratio * fraction if ratio > 0.0 else fraction
